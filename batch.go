@@ -323,9 +323,7 @@ func resolveSpecs(specs []*Spec, opts BatchOptions, rules *RuleSet) *BatchResult
 				} else {
 					br.Results[i] = res
 					br.Resolved++
-					br.Timing.Validity += res.Timing.Validity
-					br.Timing.Deduce += res.Timing.Deduce
-					br.Timing.Suggest += res.Timing.Suggest
+					br.Timing.Add(res.Timing)
 				}
 				mu.Unlock()
 			}

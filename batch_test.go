@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"conflictres/internal/constraint"
+	"conflictres/internal/datagen"
 )
 
 // batchSchema and batchRules are the Edith running example generalized to a
@@ -220,6 +221,34 @@ func TestResolveBatchParallelSpeedup(t *testing.T) {
 // TestResolveBatchRace hammers one shared rule set from many goroutines so
 // `go test -race` can observe any unsynchronized state in the compiled rules
 // or the worker pool.
+// TestResolveBatchPhasesCoverWall pins the per-phase breakdown: on one
+// worker, encode, load, validity, deduce and suggest together account for at
+// least 90% of the batch's wall time, so no dominant cost goes unreported.
+func TestResolveBatchPhasesCoverWall(t *testing.T) {
+	ds := datagen.Person(datagen.PersonConfig{Entities: 8, MinTuples: 2, MaxTuples: 8, Seed: 1})
+	rs := &RuleSet{schema: ds.Schema, sigma: ds.Sigma, gamma: ds.Gamma}
+	instances := make([]*Instance, len(ds.Entities))
+	for i, e := range ds.Entities {
+		instances[i] = e.Spec.TI.Inst
+	}
+	br, err := ResolveBatch(rs, instances, BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Resolved != len(instances) {
+		t.Fatalf("resolved %d of %d", br.Resolved, len(instances))
+	}
+	tm := br.Timing
+	t.Logf("wall %v: encode %v, load %v, validity %v, deduce %v, suggest %v",
+		br.Wall, tm.Encode, tm.Load, tm.Validity, tm.Deduce, tm.Suggest)
+	if tm.Encode <= 0 || tm.Load <= 0 {
+		t.Fatalf("encode and load not timed: %+v", tm)
+	}
+	if share := float64(tm.Total()) / float64(br.Wall); share < 0.9 {
+		t.Fatalf("phases cover %.0f%% of wall time, want >= 90%%", 100*share)
+	}
+}
+
 func TestResolveBatchRace(t *testing.T) {
 	rs := batchRules(t)
 	instances := batchInstances(rs.Schema(), 8)

@@ -187,9 +187,7 @@ func OverallTiming(ds *datagen.Dataset, bounds [][2]int, figID string) Figure {
 			if err != nil {
 				continue
 			}
-			timing.Validity += out.Timing.Validity
-			timing.Deduce += out.Timing.Deduce
-			timing.Suggest += out.Timing.Suggest
+			timing.Add(out.Timing)
 			n++
 		}
 		val.Points = append(val.Points, Point{bucketLabel(bounds[i]), avgMillis(timing.Validity, n)})

@@ -54,15 +54,31 @@ func (o Options) maxRounds() int {
 }
 
 // Timing breaks the elapsed time down by framework phase, aggregated over
-// all rounds (Figures 8(c)/8(d) report exactly these three buckets).
+// all rounds. Validity, Deduce and Suggest are the three buckets Figures
+// 8(c)/8(d) report; Encode (compiling Φ(Se), including rebuilds and ⊕ Ot
+// deltas) and Load (attaching its clauses to the solver) are the cost of
+// getting there.
 type Timing struct {
+	Encode   time.Duration
+	Load     time.Duration
 	Validity time.Duration
 	Deduce   time.Duration
 	Suggest  time.Duration
 }
 
 // Total returns the summed phase time.
-func (t Timing) Total() time.Duration { return t.Validity + t.Deduce + t.Suggest }
+func (t Timing) Total() time.Duration {
+	return t.Encode + t.Load + t.Validity + t.Deduce + t.Suggest
+}
+
+// Add accumulates o into t.
+func (t *Timing) Add(o Timing) {
+	t.Encode += o.Encode
+	t.Load += o.Load
+	t.Validity += o.Validity
+	t.Deduce += o.Deduce
+	t.Suggest += o.Suggest
+}
 
 // Outcome is the result of running the resolution framework on one entity.
 type Outcome struct {
@@ -119,6 +135,8 @@ type resolveEngine interface {
 	suggest(od *OrderSet, resolved map[relation.Attr]relation.Value) Suggestion
 	extend(answers map[relation.Attr]relation.Value)
 	stats() SessionStats
+	// phases reports the Encode and Load time spent so far.
+	phases() Timing
 }
 
 // sessionEngine serves every phase from one Session: one encoding, one
@@ -140,6 +158,7 @@ func (e *sessionEngine) suggest(od *OrderSet, resolved map[relation.Attr]relatio
 }
 func (e *sessionEngine) extend(answers map[relation.Attr]relation.Value) { e.s.Extend(answers) }
 func (e *sessionEngine) stats() SessionStats                             { return e.s.Stats() }
+func (e *sessionEngine) phases() Timing                                  { return e.s.phases }
 
 // scratchEngine is the pre-session baseline: re-encode the specification at
 // the top of every round into a fresh encoding and solver. The round's
@@ -156,12 +175,17 @@ type scratchEngine struct {
 	solver     *sat.Solver
 	consistent bool
 	fixpoint   []sat.Lit
+	timing     Timing // Encode and Load only
 }
 
 func (e *scratchEngine) beginRound() *encode.Encoding {
+	start := time.Now()
 	e.enc = encode.Build(e.cur, e.opts) //crlint:ignore encodingalias standalone Build allocates fresh storage; no Skeleton is reused
+	loadStart := time.Now()
+	e.timing.Encode += loadStart.Sub(start)
 	e.solver = sat.New()
 	e.consistent = e.enc.CNF().LoadInto(e.solver)
+	e.timing.Load += time.Since(loadStart)
 	if e.consistent {
 		e.fixpoint = e.solver.Assigned()
 	} else {
@@ -193,6 +217,7 @@ func (e *scratchEngine) extend(answers map[relation.Attr]relation.Value) {
 	e.cur = e.cur.Extend(answers)
 }
 func (e *scratchEngine) stats() SessionStats { return SessionStats{} }
+func (e *scratchEngine) phases() Timing      { return e.timing }
 
 // Resolve runs the conflict-resolution framework of Fig. 4 on a
 // specification: validate, deduce true values, and while attributes remain
@@ -237,6 +262,8 @@ func resolveLoop(eng resolveEngine, sch *relation.Schema, oracle Oracle, opts Op
 				out.Valid = false
 				out.Rounds = 1
 				out.Session = eng.stats()
+				ph := eng.phases()
+				out.Timing.Encode, out.Timing.Load = ph.Encode, ph.Load
 				return out, nil
 			}
 			// User input contradicted the specification: take the 'No'
@@ -296,6 +323,8 @@ func resolveLoop(eng resolveEngine, sch *relation.Schema, oracle Oracle, opts Op
 	}
 
 	out.Session = eng.stats()
+	ph := eng.phases()
+	out.Timing.Encode, out.Timing.Load = ph.Encode, ph.Load
 	out.Tuple = relation.NewTuple(sch)
 	for a, v := range out.Resolved {
 		out.Tuple[a] = v

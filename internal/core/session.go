@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"conflictres/internal/encode"
 	"conflictres/internal/model"
 	"conflictres/internal/relation"
@@ -59,6 +61,7 @@ type Session struct {
 	rebuilds      int
 	extends       int
 	clausesLoaded int
+	phases        Timing // Encode and Load only
 	// solveBase is the solver's lifetime Solves counter when this session
 	// acquired it; solver Stats are cumulative across Reset, so the
 	// session's own query count is the difference.
@@ -69,7 +72,7 @@ type Session struct {
 // The specification must already be structurally valid (Spec.Validate).
 func NewSession(spec *model.Spec, opts encode.Options) *Session {
 	s := &Session{opts: opts}
-	s.install(encode.Build(spec, opts))
+	s.install(s.buildEncoding(spec))
 	return s
 }
 
@@ -107,6 +110,8 @@ func (s *Session) install(enc *encode.Encoding) {
 // buildEncoding compiles a specification through the pipeline's skeleton
 // when one is attached, standalone otherwise.
 func (s *Session) buildEncoding(spec *model.Spec) *encode.Encoding {
+	start := time.Now()
+	defer func() { s.phases.Encode += time.Since(start) }()
 	if s.pipe != nil {
 		return s.pipe.skel.Build(spec)
 	}
@@ -118,12 +123,14 @@ func (s *Session) buildEncoding(spec *model.Spec) *encode.Encoding {
 func (s *Session) sync() {
 	cnf := s.enc.CNF()
 	if s.loaded < len(cnf.Clauses) || s.solver.NumVars() < cnf.NVars {
+		start := time.Now()
 		cnf.AppendInto(s.solver, s.loaded)
 		s.clausesLoaded += len(cnf.Clauses) - s.loaded
 		s.loaded = len(cnf.Clauses)
 		s.validKnown = false
 		s.model = nil
 		s.fixpoint = s.solver.Assigned()
+		s.phases.Load += time.Since(start)
 	}
 	s.consistent = s.solver.Okay()
 }
@@ -276,7 +283,10 @@ func (s *Session) Extend(answers map[relation.Attr]relation.Value) bool {
 	if len(answers) == 0 {
 		return true
 	}
-	if s.enc.ExtendAnswers(answers) {
+	start := time.Now()
+	ok := s.enc.ExtendAnswers(answers)
+	s.phases.Encode += time.Since(start)
+	if ok {
 		s.extends++
 		s.sync()
 		return true
@@ -298,7 +308,10 @@ func (s *Session) ExtendRows(rows []relation.Tuple, edges []model.OrderEdge) boo
 	if len(rows) == 0 && len(edges) == 0 {
 		return true
 	}
-	if s.enc.ExtendRows(rows, edges) {
+	start := time.Now()
+	ok := s.enc.ExtendRows(rows, edges)
+	s.phases.Encode += time.Since(start)
+	if ok {
 		s.extends++
 		s.sync()
 		return true

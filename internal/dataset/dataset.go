@@ -310,9 +310,7 @@ func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w
 			// not the result reached the output — but every per-outcome
 			// counter (Resolved/Invalid/Failed/Cached) describes only
 			// written results, so they reconcile with the output file.
-			stats.Timing.Validity += out.Timing.Validity
-			stats.Timing.Deduce += out.Timing.Deduce
-			stats.Timing.Suggest += out.Timing.Suggest
+			stats.Timing.Add(out.Timing)
 			if writeErr != nil {
 				stats.Dropped++
 				continue

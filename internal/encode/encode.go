@@ -31,9 +31,11 @@
 package encode
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"conflictres/internal/constraint"
@@ -882,9 +884,17 @@ func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2
 		order = append(order, v)
 		return i
 	}
-	type edge struct{ a, b int }
-	var edges []edge
+	// Sorted facts fix the value numbering, and with it the clause order.
+	sorted := make([][2]int, 0, len(facts))
 	for f := range facts {
+		sorted = append(sorted, f)
+	}
+	slices.SortFunc(sorted, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	type edge struct{ a, b int }
+	edges := make([]edge, 0, len(sorted))
+	for _, f := range sorted {
 		edges = append(edges, edge{idx(f[0]), idx(f[1])})
 	}
 	m := len(order)
@@ -1076,7 +1086,7 @@ func (e *Encoding) extendTuples(k int) bool {
 				}
 			}
 		} else {
-			for i := range newJoin[a] {
+			for _, i := range sortedKeys(newJoin[a]) {
 				if i != ni {
 					e.addInstance(nil, OrderLit{attr, ni, i}, Source{SrcOrder, -1})
 				}
@@ -1110,7 +1120,7 @@ func (e *Encoding) extendTuples(k int) bool {
 		}
 		bi, _ := e.ValueIndex(cfd.B, cfd.VB)
 		omegaX := e.cfdBody(cfd)
-		for i := range newJoin[cfd.B] {
+		for _, i := range sortedKeys(newJoin[cfd.B]) {
 			if i == bi {
 				continue
 			}

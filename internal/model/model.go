@@ -10,6 +10,8 @@ package model
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"conflictres/internal/constraint"
 	"conflictres/internal/relation"
@@ -142,7 +144,7 @@ func (s *Spec) Extend(answers map[relation.Attr]relation.Value) *Spec {
 	}
 	existing := out.TI.Inst.TupleIDs()
 	toID := out.TI.Inst.MustAdd(to)
-	for a := range answers {
+	for _, a := range slices.Sorted(maps.Keys(answers)) {
 		for _, t := range existing {
 			out.TI.Edges = append(out.TI.Edges, OrderEdge{Attr: a, T1: t, T2: toID})
 		}

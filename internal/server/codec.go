@@ -89,6 +89,8 @@ type resolveRequest struct {
 
 // timingJSON reports per-phase latency in microseconds.
 type timingJSON struct {
+	EncodeUs   int64 `json:"encodeUs"`
+	LoadUs     int64 `json:"loadUs"`
 	ValidityUs int64 `json:"validityUs"`
 	DeduceUs   int64 `json:"deduceUs"`
 	SuggestUs  int64 `json:"suggestUs"`
@@ -186,6 +188,8 @@ func encodeResult(sch *conflictres.Schema, res *conflictres.Result) *resultJSON 
 		out.Tuple[i] = encodeValue(v)
 	}
 	out.Timing = &timingJSON{
+		EncodeUs:   res.Timing.Encode.Microseconds(),
+		LoadUs:     res.Timing.Load.Microseconds(),
 		ValidityUs: res.Timing.Validity.Microseconds(),
 		DeduceUs:   res.Timing.Deduce.Microseconds(),
 		SuggestUs:  res.Timing.Suggest.Microseconds(),

@@ -12,7 +12,6 @@ import (
 
 	"conflictres"
 	"conflictres/internal/dataset"
-	"conflictres/internal/httpstream"
 	"conflictres/internal/relation"
 )
 
@@ -164,10 +163,10 @@ func (s *Server) datasetResolver(ctx context.Context, rules *conflictres.RuleSet
 // wireWriter adapts the HTTP response to the dataset engine's Writer: one
 // resultJSON line per entity, flushed as it completes.
 type wireWriter struct {
-	enc     *json.Encoder
-	flusher http.Flusher
-	sch     *conflictres.Schema
-	met     *metrics
+	enc *json.Encoder
+	rc  *http.ResponseController
+	sch *conflictres.Schema
+	met *metrics
 }
 
 func (w *wireWriter) Write(res *dataset.Result) error {
@@ -189,9 +188,7 @@ func (w *wireWriter) Write(res *dataset.Result) error {
 	if err := w.enc.Encode(out); err != nil {
 		return err
 	}
-	if w.flusher != nil {
-		w.flusher.Flush()
-	}
+	w.rc.Flush() // ErrNotSupported only on writers that buffer anyway
 	return nil
 }
 
@@ -225,13 +222,11 @@ type datasetSummaryJSON struct {
 // by a summary line.
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	s.met.datasetRequests.Add(1)
-	// Result lines are gated until the row stream is fully received: the
-	// engine resolves entities while rows are still arriving, and an early
-	// response write would close the half-read request body (HTTP/1.1
-	// cannot full-duplex; see httpstream).
-	gw := httpstream.NewGatedWriter(w)
-	defer gw.Open() // cover reads that stop short of body EOF
-	br := bufio.NewReaderSize(gw.BodyEOF(r.Body), 64<<10)
+	// Result lines go out while rows are still arriving, so memory is
+	// bounded by the grouping window and the worker pool, not the stream.
+	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex() // ErrNotSupported only on writers that buffer anyway
+	br := bufio.NewReaderSize(r.Body, 64<<10)
 	headerLine, err := readLineBounded(br, s.cfg.MaxBodyBytes)
 	if errors.Is(err, bufio.ErrTooLong) {
 		s.writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
@@ -281,8 +276,8 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(gw)
-	ww := &wireWriter{enc: enc, flusher: gw, sch: sch, met: s.met}
+	enc := json.NewEncoder(w)
+	ww := &wireWriter{enc: enc, rc: rc, sch: sch, met: s.met}
 
 	sem := make(chan struct{}, s.cfg.Workers)
 	stats, runErr := dataset.Run(r.Context(), sch, reader,
@@ -311,6 +306,4 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		WallUs:        int64(stats.Wall / time.Microsecond),
 		RowsPerSec:    stats.RowsPerSec(),
 	}})
-	gw.Open()
-	gw.Flush()
 }

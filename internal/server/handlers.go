@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"conflictres"
-	"conflictres/internal/httpstream"
 )
 
 // Error codes carried in the structured error envelope.
@@ -273,14 +272,13 @@ type batchHeader struct {
 // compiles the shared rule set; every following line is one entity. Results
 // stream back one JSON line each, in completion order, carrying the input's
 // id and zero-based entity index. Memory use is bounded by the worker-pool
-// width, not the stream length. Result lines are gated until the request
-// stream is fully received (HTTP/1.1 cannot full-duplex; see httpstream),
-// then stream as they complete.
+// width, not the stream length: result lines are written while the request
+// stream is still arriving.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.batchRequests.Add(1)
-	gw := httpstream.NewGatedWriter(w)
-	defer gw.Open() // cover reads that stop short of body EOF
-	sc := bufio.NewScanner(gw.BodyEOF(r.Body))
+	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex() // ErrNotSupported only on writers that buffer anyway
+	sc := bufio.NewScanner(r.Body)
 	// Scanner's effective cap is max(cap(buf), max): keep the initial buffer
 	// at or below the configured limit so small limits actually bind.
 	bufSize := 64 << 10
@@ -315,12 +313,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	var wmu sync.Mutex // serializes result lines
-	enc := json.NewEncoder(gw)
+	enc := json.NewEncoder(w)
 	emit := func(out *resultJSON) {
 		wmu.Lock()
 		defer wmu.Unlock()
 		enc.Encode(out)
-		gw.Flush()
+		rc.Flush()
 	}
 
 	sem := make(chan struct{}, s.cfg.Workers)

@@ -33,7 +33,9 @@ type metrics struct {
 	// (sessions and live entities count at creation, resolves per entity).
 	modeCounts [4]atomic.Int64
 
-	// Cumulative per-phase solver time, nanoseconds (from core.Timing).
+	// Cumulative per-phase time, nanoseconds (from core.Timing).
+	encodeNs   atomic.Int64
+	loadNs     atomic.Int64
 	validityNs atomic.Int64
 	deduceNs   atomic.Int64
 	suggestNs  atomic.Int64
@@ -59,6 +61,8 @@ func (m *metrics) observe(res *conflictres.Result) {
 	if !res.Valid {
 		m.entitiesInvalid.Add(1)
 	}
+	m.encodeNs.Add(int64(res.Timing.Encode))
+	m.loadNs.Add(int64(res.Timing.Load))
 	m.validityNs.Add(int64(res.Timing.Validity))
 	m.deduceNs.Add(int64(res.Timing.Deduce))
 	m.suggestNs.Add(int64(res.Timing.Suggest))
@@ -103,6 +107,8 @@ func (m *metrics) write(w io.Writer, cache *lru, sessions SessionStore, liveReg 
 		fmt.Fprintf(w, "crserve_resolve_mode_total{mode=%q} %d\n", name, m.modeCounts[i].Load())
 	}
 	fmt.Fprintf(w, "# TYPE crserve_phase_seconds_total counter\n")
+	fmt.Fprintf(w, "crserve_phase_seconds_total{phase=\"encode\"} %g\n", float64(m.encodeNs.Load())/1e9)
+	fmt.Fprintf(w, "crserve_phase_seconds_total{phase=\"load\"} %g\n", float64(m.loadNs.Load())/1e9)
 	fmt.Fprintf(w, "crserve_phase_seconds_total{phase=\"validity\"} %g\n", float64(m.validityNs.Load())/1e9)
 	fmt.Fprintf(w, "crserve_phase_seconds_total{phase=\"deduce\"} %g\n", float64(m.deduceNs.Load())/1e9)
 	fmt.Fprintf(w, "crserve_phase_seconds_total{phase=\"suggest\"} %g\n", float64(m.suggestNs.Load())/1e9)

@@ -394,6 +394,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`crserve_requests_total{endpoint="resolve"} 2`,
 		`crserve_entities_total{outcome="resolved"} 1`, // second request hit the cache
 		`crserve_cache_hits_total 1`,
+		`crserve_phase_seconds_total{phase="encode"}`,
+		`crserve_phase_seconds_total{phase="load"}`,
 		`crserve_phase_seconds_total{phase="deduce"}`,
 	} {
 		if !strings.Contains(text, want) {

@@ -66,6 +66,9 @@ func (e *emitter) encRaw(line []byte) {
 // lines are absorbed into one merged summary. A backend that dies
 // mid-partition is marked down and its whole partition is retried on the
 // next live backend, with results already relayed deduplicated by key.
+// That failover needs each partition whole, so the coordinator reads the
+// entire upload before dispatching: its memory grows with the input, unlike
+// a single crserve's, and no result line goes out before the upload ends.
 func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 	c.met.datasetRequests.Add(1)
 	start := time.Now()

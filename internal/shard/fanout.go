@@ -11,8 +11,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"conflictres/internal/httpstream"
 )
 
 // batchJob is one entity line in flight through the fleet.
@@ -57,12 +55,10 @@ func (e *emitter) emit(v any) {
 // retried on the next owner along the ring.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c.met.batchRequests.Add(1)
-	// Merged result lines are gated until the client's request stream is
-	// fully received (HTTP/1.1 cannot full-duplex; see httpstream), then
-	// stream as backends answer.
-	gw := httpstream.NewGatedWriter(w)
-	defer gw.Open() // cover reads that stop short of body EOF
-	sc := bufio.NewScanner(gw.BodyEOF(r.Body))
+	// Merged result lines stream as backends answer, while the client's
+	// request stream is still arriving.
+	http.NewResponseController(w).EnableFullDuplex() // ErrNotSupported only on writers that buffer anyway
+	sc := bufio.NewScanner(r.Body)
 	bufSize := 64 << 10
 	if int(c.cfg.MaxBodyBytes) < bufSize {
 		bufSize = int(c.cfg.MaxBodyBytes)
@@ -89,7 +85,8 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	em := &emitter{enc: json.NewEncoder(gw), w: gw, mergeNs: func(ns int64) { c.met.batchMergeNs.Add(ns) }}
+	flusher, _ := w.(http.Flusher)
+	em := &emitter{enc: json.NewEncoder(w), w: flusher, mergeNs: func(ns int64) { c.met.batchMergeNs.Add(ns) }}
 
 	// One pipelining semaphore per backend: a slot is held for the full
 	// life of a sub-batch POST, so at most Pipeline requests are in flight
