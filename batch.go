@@ -303,7 +303,10 @@ func resolveSpecs(specs []*Spec, opts BatchOptions, rules *RuleSet) *BatchResult
 
 	var mu sync.Mutex // guards the aggregate counters
 	var wg sync.WaitGroup
-	jobs := make(chan int)
+	// Workers claim slots off a shared counter: a goroutine feeding them
+	// would compete with them for the Ps, which cost about a third of
+	// two-worker throughput.
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -314,7 +317,14 @@ func resolveSpecs(specs []*Spec, opts BatchOptions, rules *RuleSet) *BatchResult
 				defer rules.releasePipeline(pl)
 				pipe = pl.p
 			}
-			for i := range jobs {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				if specs[i] == nil {
+					continue
+				}
 				res, err := resolveWith(specs[i], nil, opts.Options, pipe)
 				mu.Lock()
 				if err != nil {
@@ -329,12 +339,6 @@ func resolveSpecs(specs []*Spec, opts BatchOptions, rules *RuleSet) *BatchResult
 			}
 		}()
 	}
-	for i, s := range specs {
-		if s != nil {
-			jobs <- i
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	br.Wall = time.Since(start)
 	return br

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,9 +185,42 @@ func TestResolveBatchReportsPerEntityErrors(t *testing.T) {
 	}
 }
 
+// spinTime times workers goroutines each running iters steps of a pure ALU
+// loop. One goroutine over procs shares against procs goroutines over one
+// share each gives the wall-clock speedup the machine itself offers:
+// GOMAXPROCS counts vCPUs, which may share physical cores, be throttled or
+// be busy with other processes, so that ratio, not GOMAXPROCS, bounds any
+// parallel speedup.
+func spinTime(workers, iters int) time.Duration {
+	var sink atomic.Uint64
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := uint64(w)
+			for i := 0; i < iters; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+			sink.Add(x)
+		}()
+	}
+	wg.Wait()
+	return time.Since(start)
+}
+
 // TestResolveBatchParallelSpeedup checks that the worker pool beats the
-// sequential loop in wall time. It needs real cores; single-CPU machines
-// skip (BenchmarkResolveBatch reports the same comparison as entities/s).
+// sequential loop in wall time by 1.3x. Wall time on a shared machine is
+// noisy, and under `go test ./...` another package's test binary holds a
+// vCPU most of the time, so each round times a sequential batch, a parallel
+// batch and both sides of a spin loop, and the test compares the fastest
+// run of each side. It passes once, after at least minRounds rounds, the
+// fastest parallel batch is 1.3x faster than the fastest sequential one. If
+// that has not happened within budget, the spin loop decides: the test
+// skips with the measured times when GOMAXPROCS goroutines could not reach
+// 1.3x either, and fails otherwise. BenchmarkResolveBatch reports the same
+// comparison as entities/s.
 func TestResolveBatchParallelSpeedup(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	if procs < 2 {
@@ -195,27 +229,45 @@ func TestResolveBatchParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping timing-sensitive test in -short mode")
 	}
+	const (
+		bar       = 1.3
+		minRounds = 10
+		budget    = 20 * time.Second
+		share     = 1 << 20
+	)
 	rs := batchRules(t)
 	instances := batchInstances(rs.Schema(), 96)
-	run := func(workers int) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for trial := 0; trial < 3; trial++ {
-			br, err := ResolveBatch(rs, instances, BatchOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if br.Wall < best {
-				best = br.Wall
-			}
+	batchTime := func(workers int) time.Duration {
+		br, err := ResolveBatch(rs, instances, BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return best
+		return br.Wall
 	}
-	seq, par := run(1), run(procs)
-	t.Logf("sequential %v, %d workers %v (%.2fx)", seq, procs, par, float64(seq)/float64(par))
-	// Demand a conservative 1.3x so scheduler noise cannot flake the test.
-	if float64(seq) < 1.3*float64(par) {
-		t.Errorf("no parallel speedup: sequential %v vs %d workers %v", seq, procs, par)
+	const never = time.Duration(1<<62 - 1)
+	seq, par, spinSeq, spinPar := never, never, never, never
+	rounds := 0
+	for deadline := time.Now().Add(budget); time.Now().Before(deadline); {
+		rounds++
+		seq = min(seq, batchTime(1))
+		par = min(par, batchTime(procs))
+		spinSeq = min(spinSeq, spinTime(1, procs*share))
+		spinPar = min(spinPar, spinTime(procs, share))
+		if rounds >= minRounds && float64(seq) >= bar*float64(par) {
+			break
+		}
 	}
+	t.Logf("%d rounds: sequential %v, %d workers %v (%.2fx); spin loop %v on one goroutine, %v on %d (%.2fx)",
+		rounds, seq, procs, par, float64(seq)/float64(par), spinSeq, spinPar, procs, float64(spinSeq)/float64(spinPar))
+	if float64(seq) >= bar*float64(par) {
+		return
+	}
+	if float64(spinSeq) < bar*float64(spinPar) {
+		t.Skipf("machine ceiling %.2fx over %d rounds: a spin loop took %v on one goroutine and %v on %d",
+			float64(spinSeq)/float64(spinPar), rounds, spinSeq, spinPar, procs)
+	}
+	t.Errorf("no parallel speedup over %d rounds: sequential %v vs %d workers %v, with the machine at %.2fx",
+		rounds, seq, procs, par, float64(spinSeq)/float64(spinPar))
 }
 
 // TestResolveBatchRace hammers one shared rule set from many goroutines so

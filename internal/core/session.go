@@ -26,6 +26,12 @@ type SessionStats struct {
 	// including full re-loads on rebuild. The from-scratch pipeline pays
 	// |Φ| per phase per round; a session pays |Φ| once plus the deltas.
 	ClausesLoaded int
+	// Conflicts, Decisions and Propagations are the session's solver work:
+	// CDCL conflicts, branching decisions and propagated literals, clause
+	// loading included.
+	Conflicts    int64
+	Decisions    int64
+	Propagations int64
 }
 
 // Session is an incremental resolution engine for one entity: it owns a
@@ -62,10 +68,10 @@ type Session struct {
 	extends       int
 	clausesLoaded int
 	phases        Timing // Encode and Load only
-	// solveBase is the solver's lifetime Solves counter when this session
-	// acquired it; solver Stats are cumulative across Reset, so the
-	// session's own query count is the difference.
-	solveBase int64
+	// statsBase is the solver's lifetime Stats when this session acquired
+	// it; solver Stats are cumulative across Reset, so the session's own
+	// counts are the difference.
+	statsBase sat.Stats
 }
 
 // NewSession compiles the specification and loads it into a fresh solver.
@@ -97,7 +103,7 @@ func (s *Session) install(enc *encode.Encoding) {
 		} else {
 			s.solver = sat.New()
 		}
-		s.solveBase = s.solver.Stats.Solves
+		s.statsBase = s.solver.Stats
 	}
 	s.solver.Reset()
 	s.loaded = 0
@@ -145,11 +151,15 @@ func (s *Session) Spec() *model.Spec { return s.enc.Spec }
 
 // Stats returns the session's reuse counters.
 func (s *Session) Stats() SessionStats {
+	st, base := s.solver.Stats, s.statsBase
 	return SessionStats{
 		Rebuilds:      s.rebuilds,
 		Extends:       s.extends,
-		Solves:        s.solver.Stats.Solves - s.solveBase,
+		Solves:        st.Solves - base.Solves,
 		ClausesLoaded: s.clausesLoaded,
+		Conflicts:     st.Conflicts - base.Conflicts,
+		Decisions:     st.Decisions - base.Decisions,
+		Propagations:  st.Propagations - base.Propagations,
 	}
 }
 

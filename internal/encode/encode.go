@@ -16,14 +16,14 @@
 //     sits below the pattern.
 //
 // Two deviations from a literal reading of the paper, both documented in
-// DESIGN.md: (a) tuple pairs are grouped by their projection onto the
+// DESIGN.md §5: (a) tuple pairs are grouped by their projection onto the
 // attributes a constraint actually references, which yields the same set of
 // instance constraints with far less work on large entity instances; and
 // (b) transitivity axioms are emitted in full only for attributes whose
 // active value set is small (TransitivityCap); larger attributes get a
-// sound sparse encoding (closed unit facts plus bridge clauses), which can
-// only under-constrain — the same direction of incompleteness the paper
-// accepts for its SAT reduction.
+// sound sparse encoding (closed unit facts, axioms over the conditional
+// data values, bridge clauses), which can only under-constrain — the same
+// direction of incompleteness the paper accepts for its SAT reduction.
 //
 // Encodings are built either standalone (Build) or through a Skeleton,
 // which pre-compiles the entity-independent parts of a rule set and reuses
@@ -869,8 +869,9 @@ func (e *Encoding) emitFullAxioms(attr relation.Attr, vals []int) {
 // emitSparseAxioms handles attributes with large active-value sets: the
 // transitive closure of the unit facts is materialized as additional unit
 // clauses (with a direct contradiction emitted on a fact cycle), full
-// axioms are restricted to the values occurring in conditional clauses, and
-// binary bridge clauses connect closed facts to those conditional values.
+// axioms are restricted to the data values occurring in conditional
+// clauses, and binary bridge clauses connect closed facts to those
+// conditional values.
 func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2]int]bool, cond []int, transCap int) {
 	// Compact closure over the fact-touched values.
 	touched := map[int]int{}
@@ -930,7 +931,11 @@ func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2
 			}
 		}
 	}
-	// Full axioms over conditional values (cap as a final safety net).
+	// Full axioms over the conditional values in the data (cap as a final
+	// safety net). A value outside the data — a CFD constant — is never the
+	// lower end of a derivable atom, so axioms and bridges over it never
+	// fire (DESIGN.md §5).
+	cond = slices.DeleteFunc(cond, func(c int) bool { return !e.InADom(attr, c) })
 	if len(cond) > transCap {
 		cond = cond[:transCap]
 	}

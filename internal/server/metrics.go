@@ -49,6 +49,11 @@ type metrics struct {
 	sessionSolves   atomic.Int64
 	sessionClauses  atomic.Int64
 
+	// Solver work per resolved entity (from Result.Session).
+	solverConflicts    atomic.Int64
+	solverDecisions    atomic.Int64
+	solverPropagations atomic.Int64
+
 	// Live-entity snapshot restore outcomes (RestoreLiveEntities).
 	liveRestored       atomic.Int64
 	liveRestoreSkipped atomic.Int64
@@ -70,6 +75,9 @@ func (m *metrics) observe(res *conflictres.Result) {
 	m.sessionExtends.Add(int64(res.Session.Extends))
 	m.sessionSolves.Add(res.Session.Solves)
 	m.sessionClauses.Add(int64(res.Session.ClausesLoaded))
+	m.solverConflicts.Add(res.Session.Conflicts)
+	m.solverDecisions.Add(res.Session.Decisions)
+	m.solverPropagations.Add(res.Session.Propagations)
 }
 
 // observeMode accounts one entity (or session/live-entity creation) routed
@@ -120,6 +128,12 @@ func (m *metrics) write(w io.Writer, cache *lru, sessions SessionStore, liveReg 
 	fmt.Fprintf(w, "crserve_session_solves_total %d\n", m.sessionSolves.Load())
 	fmt.Fprintf(w, "# TYPE crserve_session_clauses_loaded_total counter\n")
 	fmt.Fprintf(w, "crserve_session_clauses_loaded_total %d\n", m.sessionClauses.Load())
+	fmt.Fprintf(w, "# TYPE crserve_solver_conflicts_total counter\n")
+	fmt.Fprintf(w, "crserve_solver_conflicts_total %d\n", m.solverConflicts.Load())
+	fmt.Fprintf(w, "# TYPE crserve_solver_decisions_total counter\n")
+	fmt.Fprintf(w, "crserve_solver_decisions_total %d\n", m.solverDecisions.Load())
+	fmt.Fprintf(w, "# TYPE crserve_solver_propagations_total counter\n")
+	fmt.Fprintf(w, "crserve_solver_propagations_total %d\n", m.solverPropagations.Load())
 	sc := sessions.Counters()
 	fmt.Fprintf(w, "# TYPE crserve_session_store_live gauge\n")
 	fmt.Fprintf(w, "crserve_session_store_live %d\n", sessions.Live())

@@ -10,6 +10,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -401,6 +403,62 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)
 		}
+	}
+}
+
+// TestSolverCounterMetrics: every freshly resolved entity adds its
+// session's solver work to crserve_solver_*_total; a cache hit does no
+// solver work and adds nothing.
+func TestSolverCounterMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	names := []string{
+		"crserve_solver_conflicts_total",
+		"crserve_solver_decisions_total",
+		"crserve_solver_propagations_total",
+	}
+	scrape := func() map[string]int64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		text := string(data)
+		out := map[string]int64{}
+		for _, name := range names {
+			if !strings.Contains(text, "# TYPE "+name+" counter\n") {
+				t.Fatalf("metrics missing the counter declaration of %s", name)
+			}
+			i := strings.Index(text, "\n"+name+" ")
+			if i < 0 {
+				t.Fatalf("metrics missing %s in:\n%s", name, text)
+			}
+			line, _, _ := strings.Cut(text[i+1:], "\n")
+			v, err := strconv.ParseInt(strings.TrimPrefix(line, name+" "), 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			out[name] = v
+		}
+		return out
+	}
+	if got := scrape(); got["crserve_solver_propagations_total"] != 0 {
+		t.Fatalf("fresh server reports solver work: %v", got)
+	}
+	postJSON(t, ts.URL+"/v1/resolve", edithRequestBody(t, 0))
+	one := scrape()
+	if one["crserve_solver_propagations_total"] <= 0 || one["crserve_solver_decisions_total"] <= 0 {
+		t.Fatalf("one resolved entity reported no solver work: %v", one)
+	}
+	postJSON(t, ts.URL+"/v1/resolve", edithRequestBody(t, 0)) // cache hit
+	if got := scrape(); !reflect.DeepEqual(got, one) {
+		t.Fatalf("a cache hit moved the solver counters: %v, then %v", one, got)
+	}
+	postJSON(t, ts.URL+"/v1/resolve", edithRequestBody(t, 1))
+	two := scrape()
+	if two["crserve_solver_propagations_total"] <= one["crserve_solver_propagations_total"] {
+		t.Fatalf("a second entity added no propagations: %v, then %v", one, two)
 	}
 }
 

@@ -180,6 +180,9 @@ func addStats(a, b SessionStats) SessionStats {
 	a.Extends += b.Extends
 	a.Solves += b.Solves
 	a.ClausesLoaded += b.ClausesLoaded
+	a.Conflicts += b.Conflicts
+	a.Decisions += b.Decisions
+	a.Propagations += b.Propagations
 	return a
 }
 
