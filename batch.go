@@ -206,7 +206,7 @@ func NewSpecFromRules(in *Instance, rules *RuleSet) (*Spec, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &Spec{m: m}, nil
+	return &Spec{m: m, rules: rules}, nil
 }
 
 // BatchOptions tunes ResolveBatch.

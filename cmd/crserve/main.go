@@ -36,15 +36,15 @@
 //	GET  /readyz             readiness probe (503 once shutdown starts)
 //	GET  /metrics            Prometheus-style counters
 //
-// With -session-snapshot the server restores interactive sessions from the
-// named NDJSON file at startup (missing file = fresh start) and writes the
-// live sessions back to it on graceful shutdown — the rolling-restart path
-// for a fleet backend: clients keep their session ids across the restart.
-//
-// With -live-snapshot the server does the same for live entities (the
-// /v1/entity change-data-capture feed): each entity's row-log — every
-// acknowledged upsert, in order — is written out on graceful shutdown and
-// replayed at startup, so accumulated resolution state survives restarts.
+// Interactive sessions and live entities (the /v1/entity change-data-capture
+// feed) are both live entities, and both snapshot as the same NDJSON
+// row-log records: every accepted delta in order — for a session, the
+// created entity and then each answer round. With -session-snapshot and
+// -live-snapshot the server replays the named file at startup (missing
+// file = fresh start) and writes it back on graceful shutdown, after
+// in-flight requests drain — the rolling-restart path for a fleet backend:
+// clients keep their session ids and accumulated resolution state survives
+// the restart.
 //
 // The CRFAULT_* environment variables (CRFAULT_SEED, CRFAULT_WRITE_FAIL,
 // ...) arm deterministic fault injection on the live upsert path and the
@@ -66,6 +66,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -132,60 +133,61 @@ func main() {
 		log.Printf("crserve: fault injection armed from CRFAULT_* environment")
 		cfg.LiveFault = inj.LiveUpsert
 	}
-	if *liveSnapshotPath != "" {
-		// Live entities must snapshot before Close tears the registry down,
-		// so this runs on the server's drain seam rather than after
-		// ListenAndServe returns like the session snapshot below.
-		cfg.OnDrain = func(s *server.Server) { snapshotLiveEntities(s, *liveSnapshotPath, inj) }
+	// Snapshots must be written before Close tears the registries down, so
+	// they run on the server's drain seam.
+	cfg.OnDrain = func(s *server.Server) {
+		writeSnapshot(*snapshotPath, "sessions", nil, s.SnapshotSessions)
+		writeSnapshot(*liveSnapshotPath, "live entities", inj, s.SnapshotLiveEntities)
 	}
 
 	srv := server.New(cfg)
-	if *snapshotPath != "" {
-		restoreSessions(srv, *snapshotPath)
-	}
-	if *liveSnapshotPath != "" {
-		restoreLiveEntities(srv, *liveSnapshotPath)
-	}
+	restoreSnapshot(*snapshotPath, "sessions", srv.RestoreSessions)
+	restoreSnapshot(*liveSnapshotPath, "live entities", srv.RestoreLiveEntities)
 	log.Printf("crserve: listening on %s", cfg.Addr)
 	start := time.Now()
 	if err := srv.ListenAndServe(ctx); err != nil {
 		log.Fatalf("crserve: %v", err)
 	}
-	if *snapshotPath != "" {
-		snapshotSessions(srv, *snapshotPath)
-	}
 	log.Printf("crserve: shut down cleanly after %s", time.Since(start).Round(time.Second))
 }
 
-// restoreSessions rebuilds interactive sessions from a snapshot file. A
-// missing file is a fresh start; a partly bad file restores what it can.
-func restoreSessions(srv *server.Server, path string) {
+// restoreSnapshot replays a snapshot file into the server (no-op for an
+// empty path). A missing file is a fresh start; a partly bad file restores
+// what it can.
+func restoreSnapshot(path, what string, restore func(io.Reader) (int, error)) {
+	if path == "" {
+		return
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			log.Printf("crserve: session snapshot: %v", err)
+			log.Printf("crserve: %s snapshot: %v", what, err)
 		}
 		return
 	}
 	defer f.Close()
-	n, err := srv.RestoreSessions(f)
+	n, err := restore(f)
 	if err != nil {
-		log.Printf("crserve: session restore: %v", err)
+		log.Printf("crserve: %s restore: %v", what, err)
 	}
-	log.Printf("crserve: restored %d sessions from %s", n, path)
+	log.Printf("crserve: restored %d %s from %s", n, what, path)
 }
 
-// snapshotSessions writes the live sessions out after graceful shutdown,
-// atomically via a temp file so a crash mid-write cannot corrupt the last
-// good snapshot.
-func snapshotSessions(srv *server.Server, path string) {
+// writeSnapshot writes a snapshot file (no-op for an empty path)
+// atomically via a temp file, so a crash or injected partial write
+// mid-snapshot cannot corrupt the last good snapshot — the rename only
+// happens after a complete write. inj, when armed, injects write faults.
+func writeSnapshot(path, what string, inj *fault.Injector, snapshot func(io.Writer) error) {
+	if path == "" {
+		return
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		log.Printf("crserve: session snapshot: %v", err)
+		log.Printf("crserve: %s snapshot: %v", what, err)
 		return
 	}
-	err = srv.SnapshotSessions(f)
+	err = snapshot(inj.Writer(f))
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -194,52 +196,8 @@ func snapshotSessions(srv *server.Server, path string) {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		log.Printf("crserve: session snapshot: %v", err)
+		log.Printf("crserve: %s snapshot: %v", what, err)
 		return
 	}
-	log.Printf("crserve: snapshotted sessions to %s", path)
-}
-
-// restoreLiveEntities replays live entities from a snapshot file. A missing
-// file is a fresh start; a partly bad file restores what it can.
-func restoreLiveEntities(srv *server.Server, path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			log.Printf("crserve: live snapshot: %v", err)
-		}
-		return
-	}
-	defer f.Close()
-	n, err := srv.RestoreLiveEntities(f)
-	if err != nil {
-		log.Printf("crserve: live restore: %v", err)
-	}
-	log.Printf("crserve: restored %d live entities from %s", n, path)
-}
-
-// snapshotLiveEntities writes the live entities' row-logs out on the drain
-// seam (before the registry closes), atomically via a temp file so a crash
-// or injected partial write mid-snapshot cannot corrupt the last good
-// snapshot — the rename only happens after a complete write.
-func snapshotLiveEntities(srv *server.Server, path string, inj *fault.Injector) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		log.Printf("crserve: live snapshot: %v", err)
-		return
-	}
-	err = srv.SnapshotLiveEntities(inj.Writer(f))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		log.Printf("crserve: live snapshot: %v", err)
-		return
-	}
-	log.Printf("crserve: snapshotted live entities to %s", path)
+	log.Printf("crserve: snapshotted %s to %s", what, path)
 }

@@ -64,6 +64,10 @@ var (
 // constant CFDs.
 type Spec struct {
 	m *model.Spec
+	// rules is the compiled rule set the spec was bound from
+	// (NewSpecFromRules); sessions on the spec then use its pooled
+	// pipelines.
+	rules *RuleSet
 }
 
 // NewSpec builds a specification from an entity instance and constraint

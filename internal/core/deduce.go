@@ -82,11 +82,10 @@ func orderFromTrail(enc *encode.Encoding, lits []sat.Lit) *OrderSet {
 // second result is false when propagation derives a contradiction (Φ is
 // propositionally inconsistent at the top level).
 //
-// Long-lived sessions need this because their own trail snapshot can carry
-// units *learned* during earlier searches: sound consequences of Φ, but a
-// superset of the Fig. 5 fixpoint — and the live upsert path pins its
-// outcomes byte-identical to from-scratch resolution, so it must deduce
-// from the canonical fixpoint, not the accumulated trail.
+// Sessions need this after a search: their trail can then carry units
+// *learned* during it — sound consequences of Φ, but a superset of the
+// Fig. 5 fixpoint that depends on search history — and every resolution
+// path must deduce the same order from the same specification.
 func propagationFixpoint(c *sat.CNF) ([]sat.Lit, bool) {
 	// assign[v]: 0 undef, 1 true, -1 false.
 	assign := make([]int8, c.NVars)

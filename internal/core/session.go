@@ -51,14 +51,16 @@ type Session struct {
 	pipe   *Pipeline // non-nil: skeleton builds + pooled solver reuse
 	loaded int       // prefix of enc.CNF().Clauses attached to solver
 
-	// fixpoint snapshots the solver's level-0 trail right after clause
-	// loading, before any search: at round 0 this is exactly the unit
-	// propagation fixpoint of Φ(Se) — the one-literal clauses of Fig. 5 —
-	// so DeduceOrder agrees with the from-scratch algorithm. After a search
-	// it may also carry learned units: still consequences of Φ, so later
-	// rounds deduce at least as much, never unsoundly more.
-	fixpoint   []sat.Lit
-	consistent bool
+	// fixpoint is the unit-propagation fixpoint of Φ(Se) — the one-literal
+	// clauses of Fig. 5 — when exact is set. Loading snapshots it off the
+	// solver's level-0 trail, which is that fixpoint only while no search
+	// has run since the last Reset (resetSolves): a search can leave learned
+	// units behind, and which ones depends on search history. DeduceOrder
+	// recomputes it by pure propagation when the snapshot is not exact.
+	fixpoint    []sat.Lit
+	exact       bool
+	resetSolves int64
+	consistent  bool
 
 	validKnown bool
 	valid      bool
@@ -106,6 +108,7 @@ func (s *Session) install(enc *encode.Encoding) {
 		s.statsBase = s.solver.Stats
 	}
 	s.solver.Reset()
+	s.resetSolves = s.solver.Stats.Solves
 	s.loaded = 0
 	s.rebuilds++
 	s.validKnown = false
@@ -135,7 +138,11 @@ func (s *Session) sync() {
 		s.loaded = len(cnf.Clauses)
 		s.validKnown = false
 		s.model = nil
-		s.fixpoint = s.solver.Assigned()
+		s.exact = s.solver.Stats.Solves == s.resetSolves
+		s.fixpoint = nil
+		if s.exact {
+			s.fixpoint = s.solver.Assigned()
+		}
 		s.phases.Load += time.Since(start)
 	}
 	s.consistent = s.solver.Okay()
@@ -189,34 +196,27 @@ func (s *Session) IsValid() (bool, []bool) {
 }
 
 // DeduceOrder implements the algorithm of Fig. 5 against the session state:
-// the derived order is read off the solver's level-0 trail snapshot — no
-// solver construction, no clause reload, no search.
+// the derived order is the unit-propagation fixpoint of the current Φ(Se),
+// whatever searches ran before. While no search has run since the formula
+// was last loaded from scratch (round 0 of every resolve) it is read off the
+// solver's level-0 trail snapshot; otherwise it is recomputed by one
+// pass-to-fixpoint over the clauses — no solver construction, no search —
+// and cached until the formula changes. Resolve, sessions and live entities
+// therefore deduce exactly what a fresh build of the same specification
+// deduces.
 func (s *Session) DeduceOrder() (*OrderSet, bool) {
 	s.sync()
 	if !s.consistent {
 		return NewOrderSet(), false
 	}
+	if !s.exact {
+		lits, ok := propagationFixpoint(s.enc.CNF())
+		if !ok {
+			return NewOrderSet(), false
+		}
+		s.fixpoint, s.exact = lits, true
+	}
 	return orderFromTrail(s.enc, s.fixpoint), true
-}
-
-// DeduceOrderExact is DeduceOrder pinned to the canonical Fig. 5 fixpoint:
-// the derived order is recomputed by pure unit propagation over the
-// session's current formula instead of read off the solver's trail. The
-// trail snapshot is exact at round 0 but may carry learned units after
-// searches; the live upsert path byte-compares its outcomes against
-// from-scratch resolution after every delta, so it deduces from the
-// propagation fixpoint a fresh build would produce. Costs one pass-to-
-// fixpoint over Φ(Se) — no solver construction, no search.
-func (s *Session) DeduceOrderExact() (*OrderSet, bool) {
-	s.sync()
-	if !s.consistent {
-		return NewOrderSet(), false
-	}
-	lits, ok := propagationFixpoint(s.enc.CNF())
-	if !ok {
-		return NewOrderSet(), false
-	}
-	return orderFromTrail(s.enc, lits), true
 }
 
 // NaiveDeduce is the exact per-variable deduction of Section V-B served by
@@ -302,7 +302,7 @@ func (s *Session) Extend(answers map[relation.Attr]relation.Value) bool {
 		return true
 	}
 	// Non-monotone delta: e.Spec already carries the extension; rebuild.
-	s.install(s.buildEncoding(s.enc.Spec))
+	s.Rebuild(s.enc.Spec)
 	return false
 }
 
@@ -327,6 +327,14 @@ func (s *Session) ExtendRows(rows []relation.Tuple, edges []model.OrderEdge) boo
 		return true
 	}
 	// Non-monotone delta: e.Spec already carries the extension; rebuild.
-	s.install(s.buildEncoding(s.enc.Spec))
+	s.Rebuild(s.enc.Spec)
 	return false
+}
+
+// Rebuild re-encodes spec from scratch into the session's solver, dropping
+// every extension since: the fallback for non-monotone deltas, and the
+// rollback of a ⊕ Ot round that contradicted the specification (spec is
+// then the specification before that round). Counters carry on.
+func (s *Session) Rebuild(spec *model.Spec) {
+	s.install(s.buildEncoding(spec))
 }

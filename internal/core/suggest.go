@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"conflictres/internal/constraint"
@@ -193,10 +195,14 @@ func ValueTrust(in *relation.Instance, trust *constraint.TrustTable,
 
 // ruleFacts encodes the value assignments a rule asserts as unit literals:
 // for every asserted (A, v), each other active-domain value of A sits below
-// v. Variables for unseen pairs are allocated on demand (with asymmetry).
+// v. Variables for unseen pairs are allocated on demand (with asymmetry), in
+// attribute order: the variable numbering, and with it every later search,
+// must not depend on map iteration order.
 func ruleFacts(enc *encode.Encoding, r Rule) []sat.Lit {
 	var out []sat.Lit
-	for a, v := range r.assignments() {
+	asg := r.assignments()
+	for _, a := range slices.Sorted(maps.Keys(asg)) {
+		v := asg[a]
 		vi, ok := enc.ValueIndex(a, v)
 		if !ok {
 			continue // value outside the known domain: unconstrained

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"conflictres/internal/constraint"
 	"conflictres/internal/encode"
 	"conflictres/internal/model"
 	"conflictres/internal/relation"
+	"conflictres/internal/sat"
 )
 
 // buildSpec is a helper assembling a spec from parsed constraint strings.
@@ -249,5 +251,38 @@ func TestOrderSetBasics(t *testing.T) {
 	}
 	if got := other.Lits(); len(got) != 2 || got[0].Attr > got[1].Attr {
 		t.Fatal("Lits must be sorted")
+	}
+}
+
+// TestRuleFactsDeterministic: the literals a rule asserts — and the pair
+// variables EnsureLit allocates for them — come out in attribute order on
+// every call, never in map iteration order. Variable numbering steers every
+// later search, so an unordered walk here made outcomes differ run to run.
+func TestRuleFactsDeterministic(t *testing.T) {
+	sch := relation.MustSchema("a", "b", "c")
+	spec := buildSpec(t, sch, []relation.Tuple{
+		{relation.String("x1"), relation.String("y1"), relation.String("z1")},
+		{relation.String("x2"), relation.String("y2"), relation.String("z2")},
+	}, nil, nil)
+	r := Rule{
+		X:  []relation.Attr{0, 1},
+		P:  []relation.Value{relation.String("x2"), relation.String("y2")},
+		B:  2,
+		Bv: relation.String("z2"),
+	}
+	enc := encode.Build(spec, encode.Options{})
+	var want []sat.Lit
+	for i := 0; i < 20; i++ {
+		got := ruleFacts(enc, r)
+		if len(got) != 3 {
+			t.Fatalf("call %d: %d literals, want one per asserted attribute", i, len(got))
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: literals %v, first call %v", i, got, want)
+		}
 	}
 }

@@ -1,16 +1,15 @@
-// Package live keeps per-entity resolution state warm across row arrivals:
-// the change-data-capture counterpart of the batch and session layers. A
-// Registry maps client-chosen entity keys to live sessions (facade
-// LiveSession: a pooled pipeline held for the entry's lifetime); each upsert
-// folds new rows into the loaded formula — incrementally when the delta is
-// monotone, by automatic re-encode otherwise — and the freshly resolved
-// state is copied out before anything else can touch the encoding.
+// Package live keeps per-entity resolution state warm across deltas. A
+// Registry maps keys to live sessions (facade LiveSession: a pooled
+// pipeline held for the entry's lifetime). It serves two loops: the
+// change-data-capture feed, where each upsert folds new rows into the
+// loaded formula — incrementally when the delta is monotone, by automatic
+// re-encode otherwise — and the interactive sessions of the HTTP server,
+// one registry entry per session id, whose answer rounds are deltas too.
 //
-// Lifecycle mirrors the server's session store: LRU eviction under a
-// capacity cap, TTL expiry enforced lazily and by a periodic Sweep. Unlike
-// session entries, evicted live entries own a pooled pipeline, so eviction,
-// expiry, removal and shutdown all route through closeEntry, which
-// serializes with in-flight upserts on the entry mutex and returns the
+// Lifecycle: LRU eviction under a capacity cap, TTL expiry enforced lazily
+// on access and by a periodic Sweep. Entries own a pooled pipeline, so
+// eviction, expiry, removal and shutdown all route through closeAll, which
+// serializes with in-flight operations on the entry mutex and returns the
 // pipeline to its rule-set pool exactly once.
 package live
 
@@ -39,18 +38,15 @@ var (
 	ErrFaulted = errors.New("live: storage fault")
 )
 
-// Delta is one accepted upsert, recorded in the entity's row-log in arrival
-// order. Replaying a log against a fresh entity reproduces its state
-// exactly, which is what snapshot/restore and replica warm-up rely on.
-type Delta struct {
-	Rows    []conflictres.Tuple
-	Sources []string
-	Orders  []conflictres.LiveOrder
-}
+// Delta is one accepted delta in an entity's row-log (see
+// conflictres.LiveDelta). Replaying a log against a fresh entity reproduces
+// its state exactly, which is what snapshot/restore and replica warm-up
+// rely on.
+type Delta = conflictres.LiveDelta
 
 // Op is one upsert operation: the delta plus the binding metadata the
-// registry records for replay. Mode and RulesWire only take effect at
-// creation (both are sticky per entity, like the rules).
+// registry records for replay. Mode, RulesWire and Label only take effect
+// at creation (all are sticky per entity, like the rules).
 type Op struct {
 	Rows    []conflictres.Tuple
 	Sources []string
@@ -60,6 +56,9 @@ type Op struct {
 	// snapshot re-ships the exact blob the entity was created under rather
 	// than re-deriving one from the compiled form.
 	RulesWire []byte
+	// Label is an opaque tag kept for the caller and its snapshots (server
+	// sessions keep the client's entity id there).
+	Label string
 }
 
 // EntityLog is the replayable record of one live entity, handed to a
@@ -69,27 +68,47 @@ type EntityLog struct {
 	Key       string
 	RulesWire []byte
 	Mode      conflictres.ResolutionMode
+	Label     string
 	Deltas    []Delta
 }
 
-// entry is one live entity. mu serializes every touch of ls — upserts,
-// state reads, and the close path (eviction/expiry/shutdown) — so a pooled
-// pipeline is never released while an extend is in flight. closed flips
-// exactly once, under mu, when the pipeline goes back to the pool.
+// Entry is a handle on one registered entity (see Registry.Entry). Its
+// Lock, TryLock and Unlock are the entity's own mutex — the one every
+// registry operation on it holds — so a caller holding it can run a
+// multi-step sequence on the session that no upsert, other caller or close
+// interleaves with. Use the session, and read Closed, only while holding
+// it. Session itself may be read without it for entities Add published.
+type Entry = entry
+
+// entry is one live entity. Its mutex serializes every touch of ls —
+// upserts, state reads, and the close path (eviction/expiry/shutdown) — so
+// a pooled pipeline is never released while an extend is in flight. closed
+// flips exactly once, under the mutex, when the pipeline goes back to the
+// pool.
 type entry struct {
 	key       string
 	rulesHash string
 	rules     *conflictres.RuleSet
 
-	mu        sync.Mutex
+	sync.Mutex
 	closed    bool
-	ls        *conflictres.LiveSession
+	ls        *conflictres.LiveSession   // carries the entity's row-log
 	rulesWire []byte                     // creation-time rules blob, for snapshots
 	mode      conflictres.ResolutionMode // creation-time mode, for snapshots
-	log       []Delta                    // row-log: every accepted upsert in order
+	label     string                     // creation-time Op.Label
 
 	lastUse time.Time // TTL clock, guarded by the registry mutex
 }
+
+// Session returns the entity's live session.
+func (e *entry) Session() *conflictres.LiveSession { return e.ls }
+
+// Label returns the Op.Label the entity was created with.
+func (e *entry) Label() string { return e.label }
+
+// Closed reports whether the entity was evicted, expired, removed or shut
+// down; its session then only answers State and Result.
+func (e *entry) Closed() bool { return e.closed }
 
 // Counters are a registry's monotonic lifecycle and delta counters,
 // surfaced in /metrics.
@@ -153,8 +172,8 @@ func (r *Registry) SetFault(f func() error) { r.fault = f }
 // rules — delete the entity to change either). op.Sources, when non-nil,
 // must parallel op.Rows; op.Mode and op.RulesWire only take effect at
 // creation. A concurrent operation on the same entity yields ErrBusy. Every
-// accepted delta is appended to the entity's row-log before the call
-// returns, so an acknowledged upsert is always replayable. The returned
+// accepted delta is in the entity's row-log (LiveSession.Log) before the
+// call returns, so an acknowledged upsert is always replayable. The returned
 // state covers every row the entity has seen.
 func (r *Registry) Upsert(key string, rules *conflictres.RuleSet, rulesHash string, op Op) (Result, error) {
 	for {
@@ -166,12 +185,12 @@ func (r *Registry) Upsert(key string, rules *conflictres.RuleSet, rulesHash stri
 		if e.closed {
 			// Lost a race with eviction between lookup and lock; the entry
 			// is already out of the map, so the next round starts fresh.
-			e.mu.Unlock()
+			e.Unlock()
 			continue
 		}
 		if f := r.fault; f != nil {
 			if ferr := f(); ferr != nil {
-				e.mu.Unlock()
+				e.Unlock()
 				if created {
 					r.drop(key, e)
 				}
@@ -182,18 +201,15 @@ func (r *Registry) Upsert(key string, rules *conflictres.RuleSet, rulesHash stri
 		if created {
 			ls, err := rules.NewLiveSessionMode(op.Rows, op.Sources, op.Orders, op.Mode)
 			if err != nil {
-				e.mu.Unlock()
+				e.Unlock()
 				r.drop(key, e)
 				return Result{}, err
 			}
-			e.ls = ls
-			e.rules = rules
-			e.mode = op.Mode
-			e.rulesWire = append([]byte(nil), op.RulesWire...)
+			e.setSession(rules, ls, op)
 		} else {
 			extended, err := e.ls.UpsertSourced(op.Rows, op.Sources, op.Orders)
 			if err != nil {
-				e.mu.Unlock()
+				e.Unlock()
 				return Result{}, err
 			}
 			res.Extended = extended
@@ -203,25 +219,72 @@ func (r *Registry) Upsert(key string, rules *conflictres.RuleSet, rulesHash stri
 				r.rebuilds.Add(1)
 			}
 		}
-		// Row-log append: copies, not aliases — the caller's decode buffers
-		// are theirs to reuse, and Snapshot hands these slices out later.
-		e.log = append(e.log, Delta{
-			Rows:    append([]conflictres.Tuple(nil), op.Rows...),
-			Sources: append([]string(nil), op.Sources...),
-			Orders:  append([]conflictres.LiveOrder(nil), op.Orders...),
-		})
 		res.Schema = e.rules.Schema()
 		res.State = e.ls.State()
-		e.mu.Unlock()
+		e.Unlock()
 		return res, nil
 	}
 }
 
+// setSession binds a freshly opened live session and its creation metadata
+// to the entry.
+func (e *entry) setSession(rules *conflictres.RuleSet, ls *conflictres.LiveSession, op Op) {
+	e.ls = ls
+	e.rules = rules
+	e.mode = op.Mode
+	e.rulesWire = append([]byte(nil), op.RulesWire...)
+	e.label = op.Label
+}
+
+// Add registers a live session opened outside the registry under key,
+// replacing (and closing) any entity already held there, and evicts over
+// capacity; the registry owns ls from then on. It serves callers that must
+// finish a session before its key is published — the server's interactive
+// sessions, whose ids only the create response reveals — and snapshot
+// restores, which keep keys stable. op supplies the creation metadata
+// (Mode, RulesWire, Label); its rows are already in ls.
+func (r *Registry) Add(key string, rules *conflictres.RuleSet, ls *conflictres.LiveSession, op Op) error {
+	e := &entry{key: key, lastUse: time.Now()}
+	e.setSession(rules, ls, op)
+	r.mu.Lock()
+	if r.down {
+		r.mu.Unlock()
+		ls.Close()
+		return ErrShutdown
+	}
+	var victims []*entry
+	if el, ok := r.m[key]; ok {
+		r.ll.Remove(el)
+		victims = append(victims, el.Value.(*entry))
+	}
+	r.m[key] = r.ll.PushFront(e)
+	r.created.Add(1)
+	victims = append(victims, r.evictLocked()...)
+	r.mu.Unlock()
+	closeAll(victims)
+	return nil
+}
+
+// Entry returns the entity under key without locking it, refreshing its TTL
+// clock and LRU position; an expired entity is closed and reported absent.
+// Until the caller holds the entry's lock, eviction or expiry may close it:
+// check Closed under the lock before using the session.
+func (r *Registry) Entry(key string) (*Entry, bool) {
+	r.mu.Lock()
+	if r.down {
+		r.mu.Unlock()
+		return nil, false
+	}
+	e, victims := r.lookupLocked(key)
+	r.mu.Unlock()
+	closeAll(victims)
+	return e, e != nil
+}
+
 // Snapshot walks every live entity, handing each one's replayable log to
 // fn. Each callback runs under that entity's lock, so the log is a
-// consistent point-in-time view; an fn error aborts the walk. Entities
-// whose creation predates the row-log (none in practice: every accepted
-// upsert logs) or that race a concurrent close are skipped, and the skip
+// consistent point-in-time view; an fn error aborts the walk. Entities that
+// race their own creation or a concurrent close are skipped, and the skip
 // count is returned alongside the number snapshotted.
 func (r *Registry) Snapshot(fn func(EntityLog) error) (written, skipped int, err error) {
 	r.mu.Lock()
@@ -237,14 +300,14 @@ func (r *Registry) Snapshot(fn func(EntityLog) error) (written, skipped int, err
 	}
 	r.mu.Unlock()
 	for _, e := range es {
-		e.mu.Lock()
-		if e.closed || len(e.log) == 0 {
+		e.Lock()
+		if e.closed || e.ls == nil {
 			skipped++
-			e.mu.Unlock()
+			e.Unlock()
 			continue
 		}
-		ferr := fn(EntityLog{Key: e.key, RulesWire: e.rulesWire, Mode: e.mode, Deltas: e.log})
-		e.mu.Unlock()
+		ferr := fn(EntityLog{Key: e.key, RulesWire: e.rulesWire, Mode: e.mode, Label: e.label, Deltas: e.ls.Log()})
+		e.Unlock()
 		if ferr != nil {
 			return written, skipped, ferr
 		}
@@ -266,11 +329,11 @@ func (r *Registry) Get(key string) (Result, bool, error) {
 			return Result{}, false, err
 		}
 		if e.closed {
-			e.mu.Unlock()
+			e.Unlock()
 			continue
 		}
 		res := Result{Key: key, Schema: e.rules.Schema(), State: e.ls.State()}
-		e.mu.Unlock()
+		e.Unlock()
 		return res, true, nil
 	}
 }
@@ -289,11 +352,11 @@ func (r *Registry) Spec(key string) (*conflictres.Spec, bool, error) {
 			return nil, false, err
 		}
 		if e.closed {
-			e.mu.Unlock()
+			e.Unlock()
 			continue
 		}
 		spec := e.ls.Spec()
-		e.mu.Unlock()
+		e.Unlock()
 		return spec, true, nil
 	}
 }
@@ -335,36 +398,56 @@ func (r *Registry) checkout(key, rulesHash string, create bool) (e *entry, victi
 		r.mu.Unlock()
 		return nil, nil, false, ErrShutdown
 	}
-	if el, ok := r.m[key]; ok {
-		e := el.Value.(*entry)
-		if r.ttl > 0 && time.Since(e.lastUse) > r.ttl {
-			r.ll.Remove(el)
-			delete(r.m, key)
-			r.expired.Add(1)
-			victims = append(victims, e)
-		} else {
-			e.lastUse = time.Now()
-			r.ll.MoveToFront(el)
-			if create && e.rulesHash != rulesHash {
-				r.mu.Unlock()
-				return nil, victims, false, ErrRulesChanged
-			}
-			if !e.mu.TryLock() {
-				r.mu.Unlock()
-				return nil, victims, false, ErrBusy
-			}
+	if e, victims = r.lookupLocked(key); e != nil {
+		if create && e.rulesHash != rulesHash {
 			r.mu.Unlock()
-			return e, victims, false, nil
+			return nil, victims, false, ErrRulesChanged
 		}
+		if !e.TryLock() {
+			r.mu.Unlock()
+			return nil, victims, false, ErrBusy
+		}
+		r.mu.Unlock()
+		return e, victims, false, nil
 	}
 	if !create {
 		r.mu.Unlock()
 		return nil, victims, false, errAbsent
 	}
 	e = &entry{key: key, rulesHash: rulesHash, lastUse: time.Now()}
-	e.mu.Lock()
+	e.Lock()
 	r.m[key] = r.ll.PushFront(e)
 	r.created.Add(1)
+	victims = append(victims, r.evictLocked()...)
+	r.mu.Unlock()
+	return e, victims, true, nil
+}
+
+// lookupLocked finds key's entry, refreshing its TTL clock and LRU
+// position. An expired entry is unlinked, counted and returned as a victim
+// for the caller to close once the registry lock is released.
+func (r *Registry) lookupLocked(key string) (*entry, []*entry) {
+	el, ok := r.m[key]
+	if !ok {
+		return nil, nil
+	}
+	e := el.Value.(*entry)
+	if r.ttl > 0 && time.Since(e.lastUse) > r.ttl {
+		r.ll.Remove(el)
+		delete(r.m, key)
+		r.expired.Add(1)
+		return nil, []*entry{e}
+	}
+	e.lastUse = time.Now()
+	r.ll.MoveToFront(el)
+	return e, nil
+}
+
+// evictLocked unlinks least recently used entries until the registry is
+// back under its cap, returning them for the caller to close once the
+// registry lock is released.
+func (r *Registry) evictLocked() []*entry {
+	var victims []*entry
 	for r.cap > 0 && r.ll.Len() > r.cap {
 		el := r.ll.Back()
 		old := el.Value.(*entry)
@@ -373,8 +456,7 @@ func (r *Registry) checkout(key, rulesHash string, create bool) (e *entry, victi
 		r.evicted.Add(1)
 		victims = append(victims, old)
 	}
-	r.mu.Unlock()
-	return e, victims, true, nil
+	return victims
 }
 
 // drop removes a placeholder whose live session failed to build.
@@ -393,14 +475,14 @@ func (r *Registry) drop(key string, e *entry) {
 // then returns the pipeline to its pool exactly once.
 func closeAll(es []*entry) {
 	for _, e := range es {
-		e.mu.Lock()
+		e.Lock()
 		if !e.closed {
 			e.closed = true
 			if e.ls != nil {
 				e.ls.Close()
 			}
 		}
-		e.mu.Unlock()
+		e.Unlock()
 	}
 }
 

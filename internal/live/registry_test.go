@@ -397,3 +397,143 @@ func TestRegistryRowLogAndSnapshot(t *testing.T) {
 		t.Fatalf("re-snapshot: written=%d err=%v", written, err)
 	}
 }
+
+// openSession opens a live session on one Edith row outside the registry,
+// the way the server opens an interactive session before publishing its id.
+func openSession(t *testing.T, rs *conflictres.RuleSet) *conflictres.LiveSession {
+	t.Helper()
+	ls, err := rs.NewLiveSession([]conflictres.Tuple{edithRow(t, rs, 0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
+
+// TestRegistryLazyExpiryOnAccess: an entity idle past the TTL is reported
+// absent on its next lookup — no sweep needed — counted as expired, and its
+// session closed.
+func TestRegistryLazyExpiryOnAccess(t *testing.T) {
+	rs := personRules(t)
+	reg := live.NewRegistry(0, 20*time.Millisecond)
+	defer reg.Close()
+	ls := openSession(t, rs)
+	if err := reg.Add("s", rs, ls, live.Op{Label: "edith"}); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := reg.Entry("s")
+	if !ok || e.Label() != "edith" {
+		t.Fatalf("fresh entry: ok=%v", ok)
+	}
+	time.Sleep(40 * time.Millisecond)
+	if _, ok := reg.Entry("s"); ok {
+		t.Fatal("expired entity must be reported absent")
+	}
+	if c := reg.CountersSnapshot(); c.Expired != 1 || reg.Live() != 0 {
+		t.Fatalf("expired=%d live=%d, want 1 and 0", c.Expired, reg.Live())
+	}
+	e.Lock()
+	closed := e.Closed()
+	e.Unlock()
+	if !closed {
+		t.Fatal("expiry must close the entity's session")
+	}
+	if err := ls.Apply(map[string]conflictres.Value{"status": relation.String("retired")}); err == nil {
+		t.Fatal("a closed session must refuse answer rounds")
+	}
+}
+
+// TestRegistryLRUEvictionOrder: over the cap the least recently used entity
+// goes first, and a lookup counts as use.
+func TestRegistryLRUEvictionOrder(t *testing.T) {
+	rs := personRules(t)
+	reg := live.NewRegistry(2, 0)
+	defer reg.Close()
+	for _, key := range []string{"a", "b"} {
+		if err := reg.Add(key, rs, openSession(t, rs), live.Op{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := reg.Entry("a"); !ok { // touch a: b is now the LRU
+		t.Fatal("a must be live")
+	}
+	if err := reg.Add("c", rs, openSession(t, rs), live.Op{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reg.Entry("b"); ok {
+		t.Fatal("LRU entity b must be evicted")
+	}
+	for _, key := range []string{"a", "c"} {
+		if _, ok := reg.Entry(key); !ok {
+			t.Fatalf("%s must survive", key)
+		}
+	}
+	if c := reg.CountersSnapshot(); c.Evicted != 1 || c.Created != 3 {
+		t.Fatalf("counters %+v, want 1 evicted of 3 created", c)
+	}
+}
+
+// TestRegistryRemoveAfterExpiry: removing an entity that already expired
+// reports it absent (the client sees 404, as for any expired id) and counts
+// the expiry.
+func TestRegistryRemoveAfterExpiry(t *testing.T) {
+	rs := personRules(t)
+	reg := live.NewRegistry(0, 20*time.Millisecond)
+	defer reg.Close()
+	if err := reg.Add("s", rs, openSession(t, rs), live.Op{}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	if reg.Remove("s") {
+		t.Fatal("Remove of an expired entity must report it absent")
+	}
+	if c := reg.CountersSnapshot(); c.Expired != 1 || reg.Live() != 0 {
+		t.Fatalf("expired=%d live=%d, want 1 and 0", c.Expired, reg.Live())
+	}
+}
+
+// TestRegistryAnswerRoundsLogged: answer rounds on a registered session land
+// in its row-log as one-row deltas, so snapshots carry them; a rolled-back
+// round leaves no trace.
+func TestRegistryAnswerRoundsLogged(t *testing.T) {
+	rs := personRules(t)
+	reg := live.NewRegistry(0, 0)
+	defer reg.Close()
+	george := fixtures.GeorgeSpec()
+	var rows []conflictres.Tuple
+	for _, id := range george.TI.Inst.TupleIDs() {
+		rows = append(rows, george.TI.Inst.Tuple(id))
+	}
+	ls, err := rs.NewLiveSession(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Add("g", rs, ls, live.Op{Label: "george"}); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := reg.Entry("g")
+	e.Lock()
+	if err := e.Session().Apply(map[string]conflictres.Value{"status": relation.String("working")}); err == nil {
+		t.Fatal("contradicting answer must be rejected")
+	}
+	if err := e.Session().Apply(map[string]conflictres.Value{"status": relation.String("retired")}); err != nil {
+		t.Fatalf("answer: %v", err)
+	}
+	e.Unlock()
+	var el live.EntityLog
+	if _, _, err := reg.Snapshot(func(l live.EntityLog) error { el = l; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if el.Label != "george" || len(el.Deltas) != 2 {
+		t.Fatalf("log: label %q, %d deltas, want george and 2", el.Label, len(el.Deltas))
+	}
+	round := el.Deltas[1]
+	n := len(rows)
+	if len(round.Rows) != 1 || len(round.Orders) != n {
+		t.Fatalf("answer delta: %d rows, %d orders, want 1 and %d", len(round.Rows), len(round.Orders), n)
+	}
+	for i, o := range round.Orders {
+		if o.Attr != "status" || o.T1 != i || o.T2 != n {
+			t.Fatalf("order %d = %+v, want status %d -> %d", i, o, i, n)
+		}
+	}
+}

@@ -160,10 +160,7 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d sources for %d rows", len(req.Sources), len(rows)))
 		return
 	}
-	orders := make([]conflictres.LiveOrder, 0, len(req.Orders))
-	for _, o := range req.Orders {
-		orders = append(orders, conflictres.LiveOrder{Attr: o.Attr, T1: o.T1, T2: o.T2})
-	}
+	orders := liveOrders(req.Orders)
 	// The identity hash covers the rules AND the canonical mode name, so a
 	// mode flip on an existing entity surfaces as entity_rules_changed
 	// rather than silently resolving under the creation-time strategy.

@@ -89,7 +89,7 @@ func (m *metrics) observeMode(s conflictres.Strategy) {
 }
 
 // write renders the counters in Prometheus text exposition format.
-func (m *metrics) write(w io.Writer, cache *lru, sessions SessionStore, liveReg *live.Registry) {
+func (m *metrics) write(w io.Writer, cache *lru, sessions sessionRegistry, liveReg *live.Registry) {
 	hits, misses, size := cache.stats()
 	var hitRate float64
 	if hits+misses > 0 {

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 
 	"conflictres"
+	"conflictres/internal/live"
 	"conflictres/internal/relation"
 )
 
@@ -23,6 +26,51 @@ const (
 	// specification; the session rolled back to its last consistent state.
 	codeContradiction = "contradiction"
 )
+
+// sessionRegistry holds the interactive sessions: a live.Registry instance
+// keyed by session id, sized by SessionCap and SessionTTL. Each session is
+// a live entity whose first delta is the created entity and whose later
+// deltas are answer rounds.
+type sessionRegistry struct{ *live.Registry }
+
+// sessionEntry is one session as the handlers see it.
+type sessionEntry struct {
+	id string
+	// mu is the registry entry: its lock serializes every request on the
+	// session against the others and against eviction, expiry and removal.
+	// The answer handler uses TryLock so a second concurrent apply gets 409
+	// instead of silently queueing behind the first.
+	mu   *live.Entry
+	sess *conflictres.LiveSession
+	// entityID echoes the create request's entity id in every state response.
+	entityID string
+}
+
+// Get resolves id to its session, refreshing its TTL clock and LRU
+// position. Unknown, expired and evicted ids all report absent — the caller
+// answers 404 either way; ids are opaque, so the distinction is not
+// observable remotely anyway.
+func (r sessionRegistry) Get(id string) (*sessionEntry, bool) {
+	e, ok := r.Entry(id)
+	if !ok {
+		return nil, false
+	}
+	return &sessionEntry{id: id, mu: e, sess: e.Session(), entityID: e.Label()}, true
+}
+
+// Counters reports the registry's lifecycle counters.
+func (r sessionRegistry) Counters() live.Counters { return r.CountersSnapshot() }
+
+// newSessionID returns an opaque, unguessable session id.
+func newSessionID() string {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// crypto/rand never fails on supported platforms; there is no sane
+		// fallback that keeps ids unguessable.
+		panic("server: crypto/rand: " + err.Error())
+	}
+	return hex.EncodeToString(b[:])
+}
 
 // sessionCreateRequest is the body of POST /v1/session: the same rule set +
 // entity shape as /v1/resolve. The whole interactive loop then runs against
@@ -91,7 +139,7 @@ func encodeSuggestion(sch *conflictres.Schema, sug conflictres.Suggestion) *sugg
 // encodeSessionState snapshots one session as its wire state. Callers must
 // hold e.mu so the snapshot cannot interleave with a concurrent apply.
 func encodeSessionState(e *sessionEntry) *sessionStateJSON {
-	sch := e.rules.Schema()
+	sch := e.sess.Schema()
 	res := e.sess.Result()
 	out := &sessionStateJSON{
 		Session:      e.id,
@@ -121,9 +169,10 @@ func encodeSessionState(e *sessionEntry) *sessionStateJSON {
 }
 
 // handleSessionCreate is POST /v1/session: compile the rules, bind the
-// entity, start an incremental session, and return its id with the initial
-// state — validity, the values deduced automatically, and the first
-// suggestion. This is the one request in the loop that pays an encode.
+// entity, open a live session on the rule set's pooled pipeline, and return
+// its id with the initial state — validity, the values deduced
+// automatically, and the first suggestion. This is the one request in the
+// loop that pays an encode.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.met.sessionRequests.Add(1)
 	var req sessionCreateRequest
@@ -144,6 +193,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadEntity, err.Error())
 		return
 	}
+	rulesWire, err := json.Marshal(&req.ruleSetJSON)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
+		return
+	}
 	s.met.observeMode(mode.Strategy)
 	type created struct {
 		e     *sessionEntry
@@ -152,16 +206,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// The solver work (validity root-solve, deduction, first suggestion)
 	// runs under the per-entity deadline; a timed-out build is abandoned
-	// before the session is ever registered.
+	// before the session is ever registered (its pipeline is dropped, not
+	// returned to the pool).
 	out, err := runTimed(r.Context(), s.cfg.Timeout, nil, func() created {
-		sess, err := conflictres.NewSessionMode(spec, mode)
+		ls, err := conflictres.NewLiveSessionSpec(spec, mode)
 		if err != nil {
 			return created{err: err}
 		}
-		e := &sessionEntry{
-			sess: sess, rules: rules, entityID: req.Entity.ID,
-			replay: sessionReplay{Rules: req.ruleSetJSON, Entity: req.Entity, Mode: req.Mode},
-		}
+		e := &sessionEntry{sess: ls, entityID: req.Entity.ID}
 		return created{e: e, state: encodeSessionState(e)}
 	})
 	if err != nil {
@@ -174,21 +226,31 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Register only after the state snapshot: the id is unknown to any
 	// other client until this response reveals it, so no lock is needed.
-	out.state.Session = s.sessions.Add(out.e)
+	id := newSessionID()
+	if err := s.sessions.Add(id, rules, out.e.sess, live.Op{
+		Mode: mode, RulesWire: rulesWire, Label: req.Entity.ID,
+	}); err != nil {
+		status, code := liveErrStatus(err)
+		s.writeError(w, status, code, err.Error())
+		return
+	}
+	out.state.Session = id
 	writeJSON(w, out.state)
 }
 
 // sessionByPath resolves the {id} path segment to a live session, answering
 // 404 for unknown, expired, or evicted ids.
 func (s *Server) sessionByPath(w http.ResponseWriter, r *http.Request) (*sessionEntry, bool) {
-	id := r.PathValue("id")
-	e, ok := s.sessions.Get(id)
+	e, ok := s.sessions.Get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, codeSessionNotFound,
-			fmt.Sprintf("no live session %q: unknown id, expired, or evicted", id))
-		return nil, false
+		s.sessionNotFound(w, r)
 	}
-	return e, true
+	return e, ok
+}
+
+func (s *Server) sessionNotFound(w http.ResponseWriter, r *http.Request) {
+	s.writeError(w, http.StatusNotFound, codeSessionNotFound,
+		fmt.Sprintf("no live session %q: unknown id, expired, or evicted", r.PathValue("id")))
 }
 
 // handleSessionGet is GET /v1/session/{id}: the current state, recomputing
@@ -200,6 +262,12 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
+	if e.mu.Closed() {
+		// Evicted or expired while this request waited for the lock.
+		e.mu.Unlock()
+		s.sessionNotFound(w, r)
+		return
+	}
 	state, err := runTimed(r.Context(), s.cfg.Timeout, func() { e.mu.Unlock() }, func() *sessionStateJSON {
 		return encodeSessionState(e)
 	})
@@ -237,7 +305,7 @@ func (s *Server) handleSessionAnswer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, `body needs "answers": {attr: value, ...}`)
 		return
 	}
-	sch := e.rules.Schema()
+	sch := e.sess.Schema()
 	answers := make(map[string]conflictres.Value, len(req.Answers))
 	for name, raw := range req.Answers {
 		if _, ok := sch.Attr(name); !ok {
@@ -256,17 +324,21 @@ func (s *Server) handleSessionAnswer(w http.ResponseWriter, r *http.Request) {
 			"another request is in progress on this session; retry when it completes")
 		return
 	}
+	if e.mu.Closed() {
+		e.mu.Unlock()
+		s.sessionNotFound(w, r)
+		return
+	}
 	type applied struct {
 		state *sessionStateJSON
 		err   error
 	}
 	out, err := runTimed(r.Context(), s.cfg.Timeout, func() { e.mu.Unlock() }, func() applied {
+		// A successful round lands in the session's row-log, which is what
+		// SnapshotSessions serializes.
 		if err := e.sess.Apply(answers); err != nil {
 			return applied{err: err}
 		}
-		// Record the applied round for SnapshotSessions (still under e.mu):
-		// only successful applies are replayable state.
-		e.replay.Answers = append(e.replay.Answers, req.Answers)
 		return applied{state: encodeSessionState(e)}
 	})
 	if err != nil {
@@ -280,15 +352,13 @@ func (s *Server) handleSessionAnswer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out.state)
 }
 
-// handleSessionDelete is DELETE /v1/session/{id}: drop the session. Expired
-// and unknown ids answer 404; deleting twice is a client error the second
-// time.
+// handleSessionDelete is DELETE /v1/session/{id}: drop the session (after
+// any in-flight answer drains) and return its pooled pipeline. Expired and
+// unknown ids answer 404; deleting twice is a client error the second time.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.met.sessionRequests.Add(1)
-	id := r.PathValue("id")
-	if !s.sessions.Remove(id) {
-		s.writeError(w, http.StatusNotFound, codeSessionNotFound,
-			fmt.Sprintf("no live session %q: unknown id, expired, or evicted", id))
+	if !s.sessions.Remove(r.PathValue("id")) {
+		s.sessionNotFound(w, r)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -7,133 +7,252 @@ import (
 	"io"
 
 	"conflictres"
-	"conflictres/internal/relation"
+	"conflictres/internal/live"
 )
 
-// sessionReplay is the wire-level input that rebuilds one interactive
-// session from scratch: the create request plus every successfully applied
-// answer round, in order. Applying the same answers to the same entity under
-// the same rules is deterministic, so replay reconstructs the exact session
-// state without serializing any solver internals.
-type sessionReplay struct {
-	Rules   ruleSetJSON                  `json:"rules"`
-	Entity  entityJSON                   `json:"entity"`
-	Mode    string                       `json:"mode,omitempty"`
-	Answers []map[string]json.RawMessage `json:"answers,omitempty"`
+// liveDeltaJSON is one accepted delta in a row-log, in the same cell forms
+// the /v1/entity wire uses.
+type liveDeltaJSON struct {
+	Rows    [][]json.RawMessage `json:"rows"`
+	Sources []string            `json:"sources,omitempty"`
+	Orders  []orderJSON         `json:"orders,omitempty"`
 }
 
-// sessionSnapshotJSON is one NDJSON line of a session-store snapshot.
-type sessionSnapshotJSON struct {
-	ID string `json:"id"`
-	sessionReplay
+// liveSnapshotJSON is one NDJSON line of a snapshot — of live entities and
+// of interactive sessions alike: the creation-time rule set and mode, then
+// every accepted delta in arrival order. A session's key is its id, its
+// first delta the created entity and every later delta an answer round;
+// EntityID is the client's entity id it echoes. Replaying the deltas
+// against a fresh entity under the same rules is deterministic, so restore
+// reconstructs the exact state without serializing solver internals.
+type liveSnapshotJSON struct {
+	Key      string          `json:"key"`
+	Rules    json.RawMessage `json:"rules"`
+	Mode     string          `json:"mode,omitempty"`
+	EntityID string          `json:"entityId,omitempty"`
+	Deltas   []liveDeltaJSON `json:"deltas"`
 }
 
-// SnapshotSessions serializes every live session as one NDJSON line of
-// replayable wire input (rules, entity, applied answers) — the rolling-
-// restart path: drain the server, snapshot, restart, RestoreSessions. Each
-// entry is written under its per-session lock, so a snapshot taken while
-// answers are in flight captures each session at an answer boundary.
+// SnapshotLiveEntities serializes every live entity as one NDJSON line of
+// replayable deltas — the rolling-restart path for the change-data-capture
+// feed: drain, snapshot, restart, RestoreLiveEntities. Each line is written
+// under its entity's lock, so a snapshot taken while upserts are in flight
+// captures every entity at a delta boundary.
+func (s *Server) SnapshotLiveEntities(w io.Writer) error {
+	return writeSnapshot(s.liveReg, w)
+}
+
+// SnapshotSessions serializes every interactive session the same way, so a
+// fleet can roll-restart a backend without dropping live conversations:
+// drain, snapshot, restart, RestoreSessions. Like SnapshotLiveEntities it
+// must run before Close (crserve calls both from Config.OnDrain), and each
+// line is written at an answer boundary.
 func (s *Server) SnapshotSessions(w io.Writer) error {
+	return writeSnapshot(s.sessions.Registry, w)
+}
+
+func writeSnapshot(reg *live.Registry, w io.Writer) error {
 	enc := json.NewEncoder(w)
-	var err error
-	s.sessions.ForEach(func(e *sessionEntry) {
-		if err != nil {
-			return
+	_, _, err := reg.Snapshot(func(el live.EntityLog) error {
+		rec := liveSnapshotJSON{
+			Key:      el.Key,
+			Rules:    json.RawMessage(el.RulesWire),
+			Mode:     el.Mode.Strategy.String(),
+			EntityID: el.Label,
+			Deltas:   make([]liveDeltaJSON, 0, len(el.Deltas)),
 		}
-		e.mu.Lock()
-		rec := sessionSnapshotJSON{ID: e.id, sessionReplay: e.replay}
-		werr := enc.Encode(&rec)
-		e.mu.Unlock()
-		if werr != nil {
-			err = werr
+		for _, d := range el.Deltas {
+			dj := liveDeltaJSON{Sources: d.Sources}
+			dj.Rows = make([][]json.RawMessage, 0, len(d.Rows))
+			for _, row := range d.Rows {
+				cells := make([]json.RawMessage, len(row))
+				for i, v := range row {
+					raw, err := json.Marshal(encodeValue(v))
+					if err != nil {
+						return fmt.Errorf("entity %s: encode cell: %w", el.Key, err)
+					}
+					cells[i] = raw
+				}
+				dj.Rows = append(dj.Rows, cells)
+			}
+			for _, o := range d.Orders {
+				dj.Orders = append(dj.Orders, orderJSON{Attr: o.Attr, T1: o.T1, T2: o.T2})
+			}
+			rec.Deltas = append(rec.Deltas, dj)
 		}
+		return enc.Encode(&rec)
 	})
 	return err
 }
 
-// RestoreSessions rebuilds sessions from a SnapshotSessions stream,
-// registering each under its original id so clients keep their handles
-// across the restart. It returns how many sessions were restored; a session
-// whose replay no longer applies cleanly (e.g. the snapshot was truncated)
-// is skipped and counted in the returned error, not fatal to the rest. TTL
-// clocks restart at the restore.
+// RestoreLiveEntities rebuilds live entities from a SnapshotLiveEntities
+// stream, replaying each entity's deltas under its original key. It returns
+// how many entities were restored; an entity whose replay no longer applies
+// cleanly (e.g. a truncated snapshot line) is dropped and counted in the
+// returned error, not fatal to the rest. TTL clocks restart at the restore.
+func (s *Server) RestoreLiveEntities(r io.Reader) (int, error) {
+	restored, skipped, err := s.readSnapshot(r, "entities", func(rec *liveSnapshotJSON) error {
+		if err := s.replayLiveEntity(rec); err != nil {
+			// Drop any partially replayed state: a half-restored entity
+			// would serve answers missing acknowledged rows.
+			s.liveReg.Remove(rec.Key)
+			return err
+		}
+		return nil
+	})
+	s.met.liveRestored.Add(int64(restored))
+	s.met.liveRestoreSkipped.Add(int64(skipped))
+	return restored, err
+}
+
+// RestoreSessions rebuilds interactive sessions from a SnapshotSessions
+// stream, registering each under its original id so clients keep their
+// handles across the restart. A record that does not replay cleanly — a
+// truncated line, or a line in any other format — is skipped and counted
+// in the returned error, not fatal to the rest. TTL clocks restart at the
+// restore.
 func (s *Server) RestoreSessions(r io.Reader) (int, error) {
+	restored, _, err := s.readSnapshot(r, "sessions", s.replaySession)
+	return restored, err
+}
+
+// readSnapshot feeds each NDJSON record of a snapshot to replay and counts
+// the outcomes; noun names what the records hold in the error.
+func (s *Server) readSnapshot(r io.Reader, noun string, replay func(*liveSnapshotJSON) error) (restored, skipped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxBodyBytes))
-	restored, skipped := 0, 0
 	var firstErr error
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var rec sessionSnapshotJSON
-		if err := json.Unmarshal(line, &rec); err != nil {
-			skipped++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("bad snapshot line: %w", err)
+		var rec liveSnapshotJSON
+		err := json.Unmarshal(line, &rec)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("bad snapshot line: %w", err)
+		case rec.Key == "" || len(rec.Deltas) == 0:
+			err = fmt.Errorf("bad snapshot line: no key or no deltas")
+		default:
+			if err = replay(&rec); err != nil {
+				err = fmt.Errorf("%s: %w", rec.Key, err)
 			}
-			continue
 		}
-		e, err := s.replaySession(&rec.sessionReplay)
 		if err != nil {
 			skipped++
 			if firstErr == nil {
-				firstErr = fmt.Errorf("session %s: %w", rec.ID, err)
+				firstErr = err
 			}
 			continue
 		}
-		s.sessions.Restore(rec.ID, e)
 		restored++
 	}
 	if err := sc.Err(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	if firstErr != nil {
-		return restored, fmt.Errorf("server: restore: %d sessions skipped: %w", skipped, firstErr)
+		return restored, skipped, fmt.Errorf("server: restore: %d %s skipped: %w", skipped, noun, firstErr)
 	}
-	return restored, nil
+	return restored, skipped, nil
 }
 
-// replaySession rebuilds one session from its replay record.
-func (s *Server) replaySession(rep *sessionReplay) (*sessionEntry, error) {
-	rules, err := s.compileRules(&rep.Rules)
+// snapshotBinding compiles a record's rule set and parses its mode.
+func (s *Server) snapshotBinding(rec *liveSnapshotJSON) (*conflictres.RuleSet, ruleSetJSON, conflictres.ResolutionMode, error) {
+	var rsj ruleSetJSON
+	if err := json.Unmarshal(rec.Rules, &rsj); err != nil {
+		return nil, rsj, conflictres.ResolutionMode{}, fmt.Errorf("rules: %w", err)
+	}
+	rules, err := s.compileRules(&rsj)
+	if err != nil {
+		return nil, rsj, conflictres.ResolutionMode{}, err
+	}
+	strat, err := conflictres.ParseStrategy(rec.Mode)
+	return rules, rsj, conflictres.ResolutionMode{Strategy: strat}, err
+}
+
+// replayLiveEntity feeds one snapshot record's deltas through the registry
+// in order, exactly as the original upserts arrived.
+func (s *Server) replayLiveEntity(rec *liveSnapshotJSON) error {
+	rules, rsj, mode, err := s.snapshotBinding(rec)
+	if err != nil {
+		return err
+	}
+	rk := rulesKey(&rsj)
+	rulesHash := string(rk[:]) + "\x00" + mode.Strategy.String()
+	for i, d := range rec.Deltas {
+		rows, err := decodeRows(rules, d.Rows)
+		if err != nil {
+			return fmt.Errorf("delta %d: %w", i, err)
+		}
+		if _, err := s.liveReg.Upsert(rec.Key, rules, rulesHash, live.Op{
+			Rows: rows, Sources: d.Sources, Orders: liveOrders(d.Orders), Mode: mode, RulesWire: rec.Rules,
+		}); err != nil {
+			return fmt.Errorf("delta %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// replaySession rebuilds one interactive session: the first delta opens
+// it, and every later delta is an answer round, re-applied through
+// LiveSession.Apply with the answers read back off the round's user tuple
+// (the attributes its orders name) — so the interaction count and the
+// contradiction check come back exactly as they were.
+func (s *Server) replaySession(rec *liveSnapshotJSON) error {
+	rules, _, mode, err := s.snapshotBinding(rec)
+	if err != nil {
+		return err
+	}
+	first := rec.Deltas[0]
+	rows, err := decodeRows(rules, first.Rows)
+	if err != nil {
+		return err
+	}
+	ls, err := rules.NewLiveSessionMode(rows, first.Sources, liveOrders(first.Orders), mode)
+	if err != nil {
+		return err
+	}
+	for i, d := range rec.Deltas[1:] {
+		answers, err := answersOf(rules, &d)
+		if err == nil {
+			err = ls.Apply(answers)
+		}
+		if err != nil {
+			ls.Close()
+			return fmt.Errorf("answer round %d: %w", i+1, err)
+		}
+	}
+	return s.sessions.Add(rec.Key, rules, ls, live.Op{Mode: mode, RulesWire: rec.Rules, Label: rec.EntityID})
+}
+
+// answersOf reads an answer round back off its delta: the user tuple's
+// values in the attributes its orders name.
+func answersOf(rules *conflictres.RuleSet, d *liveDeltaJSON) (map[string]conflictres.Value, error) {
+	rows, err := decodeRows(rules, d.Rows)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := bindEntity(rules, &rep.Entity)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := conflictres.ParseStrategy(rep.Mode)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := conflictres.NewSessionMode(spec, conflictres.ResolutionMode{Strategy: strat})
-	if err != nil {
-		return nil, err
+	if len(rows) != 1 {
+		return nil, fmt.Errorf("%d rows, want the one user tuple", len(rows))
 	}
 	sch := rules.Schema()
-	for i, round := range rep.Answers {
-		answers := make(map[string]conflictres.Value, len(round))
-		for name, raw := range round {
-			v, err := relation.FromJSONScalar(raw)
-			if err != nil {
-				return nil, fmt.Errorf("answer round %d, attribute %s: %w", i, name, err)
-			}
-			if _, ok := sch.Attr(name); !ok {
-				return nil, fmt.Errorf("answer round %d: unknown attribute %q", i, name)
-			}
-			answers[name] = v
+	answers := make(map[string]conflictres.Value)
+	for _, o := range d.Orders {
+		a, ok := sch.Attr(o.Attr)
+		if !ok {
+			return nil, fmt.Errorf("unknown attribute %q", o.Attr)
 		}
-		if err := sess.Apply(answers); err != nil {
-			return nil, fmt.Errorf("answer round %d: %w", i, err)
-		}
+		answers[o.Attr] = rows[0][a]
 	}
-	return &sessionEntry{
-		sess:     sess,
-		rules:    rules,
-		entityID: rep.Entity.ID,
-		replay:   *rep,
-	}, nil
+	return answers, nil
+}
+
+// liveOrders converts wire orders to the facade form.
+func liveOrders(in []orderJSON) []conflictres.LiveOrder {
+	out := make([]conflictres.LiveOrder, 0, len(in))
+	for _, o := range in {
+		out = append(out, conflictres.LiveOrder{Attr: o.Attr, T1: o.T1, T2: o.T2})
+	}
+	return out
 }

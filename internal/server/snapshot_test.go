@@ -141,7 +141,7 @@ func TestRestoreSkipsBadLines(t *testing.T) {
 	if err := sA.SnapshotSessions(&buf); err != nil {
 		t.Fatal(err)
 	}
-	corrupt := "{not json}\n" + buf.String() + `{"id":"x","rules":{"schema":["a"]},"entity":{"id":"y"}}` + "\n"
+	corrupt := "{not json}\n" + buf.String() + `{"key":"x","rules":{"schema":["a"]},"entityId":"y","deltas":[{"rows":[]}]}` + "\n"
 
 	sB, tsB := newTestServer(t, Config{})
 	n, err := sB.RestoreSessions(strings.NewReader(corrupt))

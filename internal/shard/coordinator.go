@@ -29,8 +29,8 @@ const (
 	codeNoBackend = "no_backend"
 	// codeBackendDown answers session traffic whose owning backend is
 	// unreachable — sessions are stateful, so there is no sibling to retry
-	// on; the client re-creates the session (or the fleet restores it from
-	// a snapshot, see server.RestoreSessions).
+	// on; the client re-creates the session (or the backend, restarted,
+	// replays it from its row-log snapshot, see server.RestoreSessions).
 	codeBackendDown = "backend_unavailable"
 	// codeBadSessionID answers session ids that do not carry a known
 	// backend tag — the id was not minted by this fleet.

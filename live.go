@@ -2,8 +2,10 @@ package conflictres
 
 import (
 	"fmt"
+	"slices"
 
 	"conflictres/internal/core"
+	"conflictres/internal/encode"
 	"conflictres/internal/model"
 	"conflictres/internal/relation"
 )
@@ -51,22 +53,49 @@ func (st LiveState) clone() LiveState {
 	return out
 }
 
-// LiveSession is the change-data-capture counterpart of Resolve: it keeps
-// one entity's resolution state warm across row arrivals. Each Upsert folds
-// the new rows into the loaded formula — incrementally when the delta is
-// monotone, via automatic re-encode otherwise — and recomputes the resolved
-// state, so consumers always read a result consistent with every row seen
-// so far.
+// LiveDelta is one accepted change to a live session, as its row-log
+// records it: data rows (with optional per-row source tags) and currency
+// orders whose indices address the accumulated rows. The first delta opens
+// the session; every later upsert and every answer round (Apply) appends
+// one. Replaying a log against a fresh session reproduces the state.
+type LiveDelta struct {
+	Rows    []Tuple
+	Sources []string
+	Orders  []LiveOrder
+}
+
+// LiveSession keeps one entity's resolution state warm across deltas. It
+// serves two loops on one engine:
+//   - change-data capture: each Upsert folds new rows into the loaded
+//     formula — incrementally when the delta is monotone, via automatic
+//     re-encode otherwise;
+//   - the interactive framework of Fig. 4: each Apply folds a round of user
+//     answers in as Se ⊕ Ot, and Suggest asks for the next one.
 //
-// A LiveSession holds a pooled pipeline (encoding skeleton + arena solver)
-// checked out of its rule set for its whole lifetime; Close returns it.
-// Sessions are not safe for concurrent use; the live registry serializes
-// access per entity.
+// After every delta the resolved state is recomputed, so consumers always
+// read a result consistent with everything seen so far.
+//
+// A session opened through a rule set (NewLiveSession, or NewLiveSessionSpec
+// on a spec bound with NewSpecFromRules) holds a pooled pipeline (encoding
+// skeleton + arena solver) checked out of the set for its whole lifetime;
+// Close returns it. Sessions are not safe for concurrent use; the live
+// registry serializes access per entity, and Session adds a mutex.
 type LiveSession struct {
-	rs    *RuleSet
-	pl    *pipeline
+	rs    *RuleSet  // pool owner; nil for standalone sessions
+	pl    *pipeline // nil: standalone, no pool to return to
+	sch   *Schema
 	sess  *core.Session
 	state LiveState
+	// od and deduced are the derived order and the true values it
+	// determines behind state — the inputs Suggest needs; nil when invalid.
+	od           *core.OrderSet
+	deduced      map[Attr]Value
+	interactions int
+	log          []LiveDelta
+	// stats are the engine counters as of the last call that did solver
+	// work; they outlive Close, which must not race with readers of the
+	// last snapshot.
+	stats SessionStats
 	// mode is the sticky resolution mode fixed at creation; its trust
 	// overlay is merged into the session's specification and refresh applies
 	// its strategy.
@@ -100,7 +129,7 @@ func (rs *RuleSet) NewLiveSessionMode(rows []Tuple, sources []string, orders []L
 			return nil, fmt.Errorf("conflictres: row %d: %w", i, err)
 		}
 	}
-	edges, err := rs.liveEdges(orders, in.Len())
+	edges, err := liveEdges(rs.schema, orders, in.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -110,14 +139,62 @@ func (rs *RuleSet) NewLiveSessionMode(rows []Tuple, sources []string, orders []L
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if m, err = mode.effectiveSpec(m); err != nil {
+	return openLive(rs, m, mode, copyDelta(rows, sources, orders))
+}
+
+// NewLiveSessionSpec opens a live session on a specification under an
+// explicit resolution mode. A spec bound with NewSpecFromRules runs on a
+// pipeline from its rule set's pool, like NewLiveSession; any other spec
+// builds a standalone encoding and solver.
+func NewLiveSessionSpec(spec *Spec, mode ResolutionMode) (*LiveSession, error) {
+	if spec == nil {
+		return nil, fmt.Errorf("conflictres: live session needs a specification")
+	}
+	if err := spec.m.Validate(); err != nil {
 		return nil, err
 	}
-	pl := rs.acquirePipeline()
-	ls := &LiveSession{rs: rs, pl: pl, sess: pl.p.NewSession(m), mode: mode}
+	in := spec.m.TI.Inst
+	first := LiveDelta{Sources: in.Sources()}
+	for _, id := range in.TupleIDs() {
+		first.Rows = append(first.Rows, in.Tuple(id))
+	}
+	sch := spec.Schema()
+	for _, e := range spec.m.TI.Edges {
+		first.Orders = append(first.Orders, LiveOrder{Attr: sch.Name(e.Attr), T1: int(e.T1), T2: int(e.T2)})
+	}
+	return openLive(spec.rules, spec.m, mode, first)
+}
+
+// openLive starts a live session on a validated specification: on a
+// pipeline from rs's pool when rs is set, standalone otherwise.
+func openLive(rs *RuleSet, m *model.Spec, mode ResolutionMode, first LiveDelta) (*LiveSession, error) {
+	m, err := mode.effectiveSpec(m)
+	if err != nil {
+		return nil, err
+	}
+	ls := &LiveSession{rs: rs, sch: m.Schema(), mode: mode, log: []LiveDelta{first}}
+	if rs != nil {
+		ls.pl = rs.acquirePipeline()
+		ls.sess = ls.pl.p.NewSession(m)
+	} else {
+		ls.sess = core.NewSession(m, encode.Options{})
+	}
 	ls.refresh()
 	return ls, nil
 }
+
+// copyDelta records a delta in the row-log: copies of the slices, not
+// aliases — callers' decode buffers are theirs to reuse.
+func copyDelta(rows []Tuple, sources []string, orders []LiveOrder) LiveDelta {
+	return LiveDelta{
+		Rows:    append([]Tuple(nil), rows...),
+		Sources: append([]string(nil), sources...),
+		Orders:  append([]LiveOrder(nil), orders...),
+	}
+}
+
+// errLiveClosed answers every mutating call on a closed session.
+var errLiveClosed = fmt.Errorf("conflictres: live session is closed")
 
 // Upsert folds new rows (and optional currency edges) into the session and
 // recomputes the resolved state. It reports whether the delta was applied
@@ -136,38 +213,128 @@ func (ls *LiveSession) Upsert(rows []Tuple, orders []LiveOrder) (bool, error) {
 // not encoded into the solver's formula — so tagging composes with both the
 // incremental and the rebuild extension path.
 func (ls *LiveSession) UpsertSourced(rows []Tuple, sources []string, orders []LiveOrder) (bool, error) {
+	extended, err := ls.extend(rows, sources, orders)
+	if err != nil || (len(rows) == 0 && len(orders) == 0) {
+		return extended, err
+	}
+	ls.log = append(ls.log, copyDelta(rows, sources, orders))
+	ls.refresh()
+	return extended, nil
+}
+
+// Apply folds one round of user-validated true values, keyed by attribute
+// name, into the session: Se ⊕ Ot of Fig. 4, expressed as the row delta
+// model.Spec.Extend describes — one user tuple carrying the answers plus an
+// order from every earlier row to it in each answered attribute — and
+// logged like any other delta. Values outside the data's active domain are
+// allowed. Input that contradicts the specification is rolled back to the
+// state before the round (the framework's "revise" branch) and an error is
+// returned.
+func (ls *LiveSession) Apply(answers map[string]Value) error {
 	if ls.sess == nil {
-		return false, fmt.Errorf("conflictres: live session is closed")
+		return errLiveClosed
+	}
+	if len(answers) == 0 {
+		return nil
+	}
+	row := relation.NewTuple(ls.sch)
+	attrs := make([]Attr, 0, len(answers))
+	for name, v := range answers {
+		a, ok := ls.sch.Attr(name)
+		if !ok {
+			return fmt.Errorf("conflictres: unknown attribute %q", name)
+		}
+		row[a] = v
+		attrs = append(attrs, a)
+	}
+	slices.Sort(attrs)
+	n := ls.state.Rows
+	orders := make([]LiveOrder, 0, len(attrs)*n)
+	for _, a := range attrs {
+		for t := 0; t < n; t++ {
+			orders = append(orders, LiveOrder{Attr: ls.sch.Name(a), T1: t, T2: n})
+		}
+	}
+	prev := ls.sess.Spec() // extensions clone: prev stays the consistent state
+	rows := []Tuple{row}
+	if _, err := ls.extend(rows, nil, orders); err != nil {
+		return err
+	}
+	if ok, _ := ls.sess.IsValid(); !ok {
+		ls.sess.Rebuild(prev)
+		ls.refresh()
+		return fmt.Errorf("conflictres: input contradicts the specification; rolled back")
+	}
+	ls.interactions++
+	ls.log = append(ls.log, LiveDelta{Rows: rows, Orders: orders})
+	ls.refresh()
+	return nil
+}
+
+// extend validates a delta and folds it into the loaded formula, reporting
+// whether it applied incrementally. The state is left stale.
+func (ls *LiveSession) extend(rows []Tuple, sources []string, orders []LiveOrder) (bool, error) {
+	if ls.sess == nil {
+		return false, errLiveClosed
 	}
 	if sources != nil && len(sources) != len(rows) {
 		return false, fmt.Errorf("conflictres: %d sources for %d rows", len(sources), len(rows))
 	}
-	want := ls.rs.schema.Len()
+	want := ls.sch.Len()
 	for i, r := range rows {
 		if len(r) != want {
 			return false, fmt.Errorf("conflictres: row %d has %d values, schema has %d", i, len(r), want)
 		}
 	}
-	before := ls.sess.Spec().TI.Inst.Len()
-	total := before + len(rows)
-	edges, err := ls.rs.liveEdges(orders, total)
+	before := ls.state.Rows
+	edges, err := liveEdges(ls.sch, orders, before+len(rows))
 	if err != nil {
 		return false, err
 	}
-	if len(rows) == 0 && len(edges) == 0 {
-		return true, nil
-	}
 	extended := ls.sess.ExtendRows(rows, edges)
-	if sources != nil {
-		in := ls.sess.Spec().TI.Inst
-		for i, src := range sources {
-			if src != "" {
-				in.SetSource(relation.TupleID(before+i), src)
-			}
+	in := ls.sess.Spec().TI.Inst
+	for i, src := range sources {
+		if src != "" {
+			in.SetSource(relation.TupleID(before+i), src)
 		}
 	}
-	ls.refresh()
 	return extended, nil
+}
+
+// Suggest runs Algorithm Suggest (Fig. 7) on the current state: the
+// attributes the user should confirm next, with candidate values. It fails
+// when the accumulated specification is invalid.
+func (ls *LiveSession) Suggest() (Suggestion, error) {
+	if ls.sess == nil {
+		return Suggestion{}, errLiveClosed
+	}
+	if ls.od == nil {
+		return Suggestion{}, fmt.Errorf("conflictres: specification is invalid")
+	}
+	sug := ls.sess.Suggest(ls.od, ls.deduced)
+	ls.stats = ls.sess.Stats()
+	return sug, nil
+}
+
+// Result reports the session as a Result, mirroring Resolve's output for
+// the rounds driven so far: one initial automatic round plus one per
+// successful Apply. Timing stays zero — the step-wise API leaves phase
+// timing to the caller's own clock. Like State, it stays readable after
+// Close.
+func (ls *LiveSession) Result() *Result {
+	st := ls.State()
+	if st.Resolved == nil {
+		st.Resolved = make(map[Attr]Value)
+	}
+	return &Result{
+		Valid:        st.Valid,
+		Tuple:        st.Tuple,
+		Resolved:     st.Resolved,
+		Rounds:       ls.interactions + 1,
+		Interactions: ls.interactions,
+		Session:      ls.SessionStats(),
+		schema:       ls.sch,
+	}
 }
 
 // State returns the resolution snapshot for all rows seen so far. The
@@ -177,6 +344,14 @@ func (ls *LiveSession) State() LiveState { return ls.state.clone() }
 
 // Rows returns the number of data tuples accumulated so far.
 func (ls *LiveSession) Rows() int { return ls.state.Rows }
+
+// Schema returns the schema the session's rows follow.
+func (ls *LiveSession) Schema() *Schema { return ls.sch }
+
+// Log returns the session's row-log: every accepted delta in order, from
+// the one that opened it. The slice aliases session state; serialize it
+// before the next delta and don't retain it.
+func (ls *LiveSession) Log() []LiveDelta { return ls.log }
 
 // Spec returns an independent copy of the accumulated specification — every
 // row and edge seen so far. Resolving it from scratch must agree with
@@ -189,73 +364,69 @@ func (ls *LiveSession) Spec() *Spec {
 }
 
 // SessionStats exposes the underlying engine counters (rebuilds include the
-// initial build).
-func (ls *LiveSession) SessionStats() SessionStats {
-	if ls.sess == nil {
-		return SessionStats{}
-	}
-	return ls.sess.Stats()
-}
+// initial build and any rolled-back answer round). They stay readable after
+// Close.
+func (ls *LiveSession) SessionStats() SessionStats { return ls.stats }
 
 // Close returns the session's pipeline to the rule set's pool. The last
-// snapshot remains readable via State; every other method fails. Close is
-// idempotent.
+// snapshot remains readable via State and Result; every other method fails.
+// Close is idempotent.
 func (ls *LiveSession) Close() {
-	if ls.pl == nil {
-		return
+	if ls.pl != nil {
+		// state was copied out of the encoding by refresh(); once the
+		// pipeline is back in the pool its skeleton may rebuild and recycle
+		// the encoding's storage under a different entity.
+		ls.rs.releasePipeline(ls.pl)
+		ls.pl = nil
 	}
-	// state was copied out of the encoding by refresh(); once the pipeline
-	// is back in the pool its skeleton may rebuild and recycle the
-	// encoding's storage under a different entity.
-	ls.rs.releasePipeline(ls.pl)
-	ls.pl = nil
-	ls.sess = nil
+	ls.sess, ls.od = nil, nil
 }
 
-// refresh recomputes the copied-out state snapshot from the session.
-// Deduction uses the canonical propagation fixpoint (DeduceOrderExact), not
-// the solver trail: the trail accumulates learned units across upserts,
-// which are sound but would make live outcomes drift from the from-scratch
-// resolution the differential layer compares against.
+// refresh recomputes the copied-out state snapshot from the session. The
+// derived order is the Fig. 5 fixpoint of the accumulated specification
+// (core.Session.DeduceOrder), so the state matches a from-scratch
+// resolution of the same rows whatever searches ran before.
 func (ls *LiveSession) refresh() {
 	st := LiveState{Rows: ls.sess.Spec().TI.Inst.Len()}
-	stats := ls.sess.Stats()
-	st.Extends = stats.Extends
-	st.Rebuilds = stats.Rebuilds - 1 // the initial build is not a fallback
+	ls.od, ls.deduced = nil, nil
 	if ok, _ := ls.sess.IsValid(); ok {
-		if fr, ok := fastResolve(ls.sess.Spec(), ls.mode.Strategy); ok {
-			// Degenerate strategy on a constraint-free entity: closed-form
-			// pick, no deduction. fastResolve builds fresh maps and tuples,
-			// so the snapshot cannot alias encoding storage.
-			st.Valid = true
-			st.Resolved = fr.Resolved
-			st.Tuple = fr.Tuple
-		} else if od, ok := ls.sess.DeduceOrderExact(); ok {
-			st.Valid = true
+		if od, ok := ls.sess.DeduceOrder(); ok {
 			enc := ls.sess.Encoding()
-			st.Resolved = core.TrueValues(enc, od)
-			st.Tuple = relation.NewTuple(ls.rs.schema)
-			for a, v := range st.Resolved {
-				st.Tuple[a] = v
-			}
-			// Trust preference layer: fill still-open attributes of the
-			// current tuple from the most trusted surviving candidates.
-			for a, v := range core.TrustFill(enc, od, st.Resolved) {
-				st.Tuple[a] = v
+			ls.od, ls.deduced = od, core.TrueValues(enc, od)
+			st.Valid = true
+			if fr, ok := fastResolve(ls.sess.Spec(), ls.mode.Strategy); ok {
+				// Degenerate strategy on a constraint-free entity: closed-
+				// form pick. fastResolve builds fresh maps and tuples, so the
+				// snapshot cannot alias encoding storage.
+				st.Resolved, st.Tuple = fr.Resolved, fr.Tuple
+			} else {
+				st.Resolved = ls.deduced
+				st.Tuple = relation.NewTuple(ls.sch)
+				for a, v := range st.Resolved {
+					st.Tuple[a] = v
+				}
+				// Trust preference layer: fill still-open attributes of the
+				// current tuple from the most trusted surviving candidates.
+				for a, v := range core.TrustFill(enc, od, st.Resolved) {
+					st.Tuple[a] = v
+				}
 			}
 		}
 	}
+	ls.stats = ls.sess.Stats()
+	st.Extends = ls.stats.Extends
+	st.Rebuilds = ls.stats.Rebuilds - 1 // the initial build is not a fallback
 	ls.state = st
 }
 
 // liveEdges validates and converts wire-level orders against a row count.
-func (rs *RuleSet) liveEdges(orders []LiveOrder, total int) ([]model.OrderEdge, error) {
+func liveEdges(sch *Schema, orders []LiveOrder, total int) ([]model.OrderEdge, error) {
 	if len(orders) == 0 {
 		return nil, nil
 	}
 	edges := make([]model.OrderEdge, 0, len(orders))
 	for i, o := range orders {
-		a, ok := rs.schema.Attr(o.Attr)
+		a, ok := sch.Attr(o.Attr)
 		if !ok {
 			return nil, fmt.Errorf("conflictres: order %d: unknown attribute %q", i, o.Attr)
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"conflictres/internal/constraint"
-	"conflictres/internal/core"
 	"conflictres/internal/model"
 	"conflictres/internal/relation"
 )
@@ -223,17 +222,4 @@ func fastPick(in *relation.Instance, trust *constraint.TrustTable, a relation.At
 		return out
 	}
 	return relation.Null
-}
-
-// trustFillTuple applies the trust preference layer to a session-style
-// result: unresolved attributes of the current tuple are filled with the most
-// trusted surviving candidates (a preference only, so Resolved is untouched).
-// With uniform trust or an unsourced instance it is a no-op.
-func trustFillTuple(sess *core.Session, od *core.OrderSet, res *Result) {
-	if res == nil || !res.Valid || res.Tuple == nil {
-		return
-	}
-	for a, v := range core.TrustFill(sess.Encoding(), od, res.Resolved) {
-		res.Tuple[a] = v
-	}
 }
