@@ -30,10 +30,24 @@ type RuleSet struct {
 	currencyTexts []string
 	cfdTexts      []string
 
-	// pool holds resolve pipelines (compiled encoding skeleton + arena
-	// solver) checked out by workers resolving entities under this rule
-	// set; see RuleSet.Resolve.
+	// encoded is the compiled encoding part of the rule set, built on first
+	// use and shared read-only by every pipeline in pool.
+	encodeOnce sync.Once
+	encoded    *encode.Rules
+
+	// pool holds resolve pipelines (encoding skeleton + arena solver)
+	// checked out by workers resolving entities under this rule set; see
+	// RuleSet.Resolve.
 	pool sync.Pool
+}
+
+// encodeRules returns the rule set's compiled encoding part, compiling and
+// validating Σ and Γ against the schema on first use.
+func (rs *RuleSet) encodeRules() *encode.Rules {
+	rs.encodeOnce.Do(func() {
+		rs.encoded = encode.CompileFor(rs.schema, rs.sigma, rs.gamma, encode.Options{})
+	})
+	return rs.encoded
 }
 
 // Module-wide pooled-pipeline counters, across all rule sets; the crserve
@@ -81,7 +95,7 @@ func (rs *RuleSet) acquirePipeline() *pipeline {
 		return v.(*pipeline)
 	}
 	poolMisses.Add(1)
-	return &pipeline{p: core.NewPipeline(rs.sigma, rs.gamma, encode.Options{})}
+	return &pipeline{p: core.NewPipeline(rs.encodeRules())}
 }
 
 // releasePipeline accounts the pipeline's skeleton rebuilds and returns it
@@ -203,7 +217,7 @@ func NewSpecFromRules(in *Instance, rules *RuleSet) (*Spec, error) {
 	// safe (model.Spec.Clone shares them the same way).
 	m := model.NewSpec(model.NewTemporal(in), rules.sigma, rules.gamma)
 	m.Trust = rules.trust
-	if err := m.Validate(); err != nil {
+	if err := rules.encodeRules().ValidateSpec(m); err != nil {
 		return nil, err
 	}
 	return &Spec{m: m, rules: rules}, nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"conflictres/internal/constraint"
 	"conflictres/internal/encode"
 	"conflictres/internal/model"
 	"conflictres/internal/sat"
@@ -25,12 +24,10 @@ type Pipeline struct {
 	solver *sat.Solver
 }
 
-// NewPipeline pre-compiles a pipeline for one rule set. The constraint
-// slices are retained and shared with the specifications the pipeline will
-// resolve (binding a spec from a compiled rule set shares them the same
-// way).
-func NewPipeline(sigma []constraint.Currency, gamma []constraint.CFD, opts encode.Options) *Pipeline {
-	return &Pipeline{skel: encode.NewSkeleton(sigma, gamma, opts), solver: sat.New()}
+// NewPipeline starts a pipeline on a compiled rule set, which it shares
+// read-only with every other pipeline of that rule set.
+func NewPipeline(rules *encode.Rules) *Pipeline {
+	return &Pipeline{skel: rules.NewSkeleton(), solver: sat.New()}
 }
 
 // NewSession starts an incremental resolution session for one entity on the
@@ -41,6 +38,9 @@ func (p *Pipeline) NewSession(spec *model.Spec) *Session {
 	s.install(s.buildEncoding(spec))
 	return s
 }
+
+// Rules returns the compiled rule set the pipeline builds with.
+func (p *Pipeline) Rules() *encode.Rules { return p.skel.Rules() }
 
 // SkeletonStats reports the pipeline's skeleton build counters: total
 // builds and how many reused the retained encoding's storage.

@@ -53,7 +53,7 @@ func TestPipelineResolveMatchesStandalone(t *testing.T) {
 
 	t.Run("fixtures", func(t *testing.T) {
 		specs := []*model.Spec{fixtures.EdithSpec(), fixtures.GeorgeSpec(), fixtures.EdithSpec()}
-		p := NewPipeline(specs[0].Sigma, specs[0].Gamma, encode.Options{})
+		p := NewPipeline(encode.Compile(specs[0].Sigma, specs[0].Gamma, encode.Options{}))
 		truths := []Oracle{
 			&SimulatedUser{Truth: fixtures.EdithTruth(), MaxPerRound: 1},
 			&SimulatedUser{Truth: fixtures.GeorgeTruth(), MaxPerRound: 1},
@@ -71,7 +71,7 @@ func TestPipelineResolveMatchesStandalone(t *testing.T) {
 			t.Fatal("datagen produced no entities")
 		}
 		first := ds.Entities[0].Spec
-		p := NewPipeline(first.Sigma, first.Gamma, encode.Options{})
+		p := NewPipeline(encode.Compile(first.Sigma, first.Gamma, encode.Options{}))
 		var specs []*model.Spec
 		for _, e := range ds.Entities {
 			specs = append(specs, e.Spec)
@@ -87,10 +87,10 @@ func TestPipelineResolveMatchesStandalone(t *testing.T) {
 		// Random specs share no rule set, so each gets its own pipeline —
 		// the point here is the Reset/arena path over many shapes, plus the
 		// one shared pipeline exercising the foreign-spec fallback.
-		shared := NewPipeline(base.Sigma, base.Gamma, encode.Options{})
+		shared := NewPipeline(encode.Compile(base.Sigma, base.Gamma, encode.Options{}))
 		for i := 0; i < 120; i++ {
 			spec := randomSpec(rng)
-			own := NewPipeline(spec.Sigma, spec.Gamma, encode.Options{})
+			own := NewPipeline(encode.Compile(spec.Sigma, spec.Gamma, encode.Options{}))
 			check(t, []*model.Spec{spec}, func(int) Oracle { return nil }, own)
 			check(t, []*model.Spec{spec}, func(int) Oracle { return nil }, shared)
 		}
@@ -107,7 +107,7 @@ func TestPipelineValidityDeduceMatches(t *testing.T) {
 		specs = append(specs, randomSpec(rng))
 	}
 	for i, spec := range specs {
-		p := NewPipeline(spec.Sigma, spec.Gamma, encode.Options{})
+		p := NewPipeline(encode.Compile(spec.Sigma, spec.Gamma, encode.Options{}))
 		for round := 0; round < 2; round++ { // second round exercises reuse
 			sess := p.NewSession(spec.Clone())
 			gotValid, _ := sess.IsValid()

@@ -228,7 +228,12 @@ func (e *scratchEngine) phases() Timing      { return e.timing }
 // By default all phases and rounds are served by one incremental Session
 // per entity; Options.FromScratch selects the re-encode-per-round baseline.
 func Resolve(spec *model.Spec, oracle Oracle, opts Options) (*Outcome, error) {
-	if err := spec.Validate(); err != nil {
+	// A spec sharing the pipeline's validated rule set skips re-checking Σ/Γ.
+	var rules *encode.Rules
+	if opts.Pipeline != nil {
+		rules = opts.Pipeline.Rules()
+	}
+	if err := rules.ValidateSpec(spec); err != nil {
 		return nil, fmt.Errorf("core: invalid specification: %w", err)
 	}
 	var eng resolveEngine

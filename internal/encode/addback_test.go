@@ -23,14 +23,14 @@ func addBackDropped(e *Encoding) int {
 	added := 0
 	for a := 0; a < e.Schema.Len(); a++ {
 		attr := relation.Attr(a)
-		if len(e.active[a]) <= e.opts.cap() {
+		if countFlags(e.active[a]) <= e.rules.opts.cap() {
 			continue // full path: nothing was dropped
 		}
 		kept, outside := map[int]bool{}, map[int]bool{}
 		for f := range e.factEdges[a] {
 			kept[f[0]], kept[f[1]] = true, true
 		}
-		for _, c := range sortedKeys(e.condVals[a]) {
+		for _, c := range flagged(nil, e.condVals[a]) {
 			switch {
 			case e.InADom(attr, c):
 				kept[c] = true
@@ -86,7 +86,7 @@ func sparseAxiomsOffData(e *Encoding) int {
 		}
 		for _, l := range cl {
 			p := e.Pair(l.Var())
-			if len(e.active[p.Attr]) <= e.opts.cap() {
+			if countFlags(e.active[p.Attr]) <= e.rules.opts.cap() {
 				continue
 			}
 			off := func(v int) bool { return !e.InADom(p.Attr, v) && !onFact(p.Attr, v) }

@@ -25,9 +25,10 @@
 // data values, bridge clauses), which can only under-constrain — the same
 // direction of incompleteness the paper accepts for its SAT reduction.
 //
-// Encodings are built either standalone (Build) or through a Skeleton,
-// which pre-compiles the entity-independent parts of a rule set and reuses
-// one encoding's storage across a stream of entities (see skeleton.go).
+// Every encoding is built from a compiled rule set (Rules, see skeleton.go):
+// standalone, Build compiles one for the call; through a Skeleton, one
+// compiled rule set is shared and one encoding's storage is reused across a
+// stream of entities.
 package encode
 
 import (
@@ -152,9 +153,11 @@ type Encoding struct {
 	Spec   *model.Spec
 	Schema *relation.Schema
 
-	doms   [][]relation.Value // per attribute: active domain ∪ CFD constants
-	adomSz []int              // per attribute: |adom| prefix of doms at Build time
-	domIdx []map[valKey]int   // canonical value -> index in doms
+	rules   *Rules
+	doms    [][]relation.Value // per attribute: active domain ∪ CFD constants
+	adomSz  []int              // per attribute: |adom| prefix of doms at Build time
+	domIdx  []map[valKey]int   // canonical data value -> index in doms
+	slotDom [][]int            // per attribute: CFD-constant slot (Rules.consts) -> index in doms
 
 	// Incremental extension (Se ⊕ Ot) appends new active-domain values past
 	// the CFD-constant suffix, so adom membership is the Build-time prefix
@@ -168,20 +171,24 @@ type Encoding struct {
 	Omega  []Instance // facts + currency instances + CFD instances (no axioms)
 	Sparse bool       // true if any attribute used the sparse transitivity path
 
-	opts      Options
 	instIdx   []int             // per Omega instance: its clause index in cnf
-	active    []map[int]bool    // per attribute: values covered by full axioms
 	edgesDone int               // explicit order edges already encoded
 	seenOrder map[OrderLit]bool // order-fact dedup (facts have no body)
-	// Instance dedup, binary keys, per source kind. The maps persist across
-	// builds (skeleton reuse) with an epoch marking the current build:
-	// recurring keys — entities under one rule set emit near-identical
-	// instance shapes — dedup without re-allocating the key string, and the
-	// boxed epoch lets stale entries be revived in place.
+	// Per attribute, one flag per domain index: values mentioned by Ω
+	// (covered by axioms), and those mentioned by a conditional instance.
+	active   [][]bool
+	condVals [][]bool
+	// Instance dedup, binary keys, per source kind (Γ only when the rule set
+	// lets two CFDs collide). The maps persist across builds (skeleton
+	// reuse) with an epoch marking the current build: recurring keys —
+	// entities under one rule set emit near-identical instance shapes —
+	// dedup without re-allocating the key string, and the boxed epoch lets
+	// stale entries be revived in place.
 	seenSigma map[string]*uint32
 	seenGamma map[string]*uint32
 	seenEpoch uint32
-	refAttrs  [][]relation.Attr // per Σ constraint; shared with the skeleton
+	// sigmaVisited counts the Σ constraints the last Build instantiated.
+	sigmaVisited int
 
 	// tix[t][a] is the domain index of tuple t's value in attribute a, so
 	// instantiation never re-hashes values. Rows are append-only and stay
@@ -201,13 +208,16 @@ type Encoding struct {
 	cfdBuf    []OrderLit
 	litBuf    []sat.Lit
 	intBuf    []int
+	condBuf   []int
+	liveBuf   []int32
+	guardHit  []bool
+	guardCnt  []int32
 	projIdx   map[string]int
 	projReps  []int
 	projCnt   []int
 	axAll     []int
 	axNew     map[int]bool
 	factEdges []map[[2]int]bool
-	condVals  []map[int]bool
 }
 
 // seenKeyCap bounds the persistent instance-dedup maps: past it, the next
@@ -219,35 +229,27 @@ const seenKeyCap = 1 << 17
 // Spec.Validate first); contradictory order information simply yields an
 // unsatisfiable Φ(Se), which is precisely what IsValid detects.
 func Build(spec *model.Spec, opts Options) *Encoding {
-	e := &Encoding{opts: opts}
-	e.init(spec, nil)
+	e := &Encoding{}
+	e.init(Compile(spec.Sigma, spec.Gamma, opts), spec)
 	return e
 }
 
-// init compiles spec into e, reusing whatever storage e already holds.
-// refAttrs, when non-nil, is the skeleton's precomputed per-constraint
-// attribute list (must match spec.Sigma element-wise).
-func (e *Encoding) init(spec *model.Spec, refAttrs [][]relation.Attr) {
+// init compiles spec into e, reusing whatever storage e already holds. The
+// rules must have been compiled from spec's Σ and Γ (or equal ones).
+func (e *Encoding) init(r *Rules, spec *model.Spec) {
+	e.rules = r
 	e.Spec = spec
 	e.Schema = spec.Schema()
 	e.resetStorage(e.Schema.Len())
-	if refAttrs != nil {
-		e.refAttrs = refAttrs
-	} else {
-		e.refAttrs = e.refAttrs[:0]
-		for _, c := range spec.Sigma {
-			e.refAttrs = append(e.refAttrs, refAttrsOf(c))
-		}
-	}
 	e.buildDomains()
 	e.emitOrderFacts()
-	if e.opts.NoProjectionDedup {
+	if r.opts.NoProjectionDedup {
 		e.emitCurrencyInstancesNaive()
 	} else {
 		e.emitCurrencyInstances()
 	}
 	e.emitCFDInstances()
-	e.emitAxioms(e.opts.cap())
+	e.emitAxioms(r.opts.cap())
 }
 
 // resetStorage clears every piece of build state while keeping allocations,
@@ -295,15 +297,17 @@ func (e *Encoding) resetStorage(n int) {
 		e.doms = make([][]relation.Value, n)
 		e.adomSz = make([]int, n)
 		e.domIdx = make([]map[valKey]int, n)
+		e.slotDom = make([][]int, n)
 		e.adomExtra = make([]map[int]bool, n)
 		e.adomIdx = make([][]int, n)
-		e.active = make([]map[int]bool, n)
+		e.active = make([][]bool, n)
 		e.factEdges = make([]map[[2]int]bool, n)
-		e.condVals = make([]map[int]bool, n)
+		e.condVals = make([][]bool, n)
 	} else {
 		e.doms = e.doms[:n]
 		e.adomSz = e.adomSz[:n]
 		e.domIdx = e.domIdx[:n]
+		e.slotDom = e.slotDom[:n]
 		e.adomExtra = e.adomExtra[:n]
 		e.adomIdx = e.adomIdx[:n]
 		e.active = e.active[:n]
@@ -324,20 +328,10 @@ func (e *Encoding) resetStorage(n int) {
 		} else {
 			clear(e.adomExtra[a])
 		}
-		if e.active[a] == nil {
-			e.active[a] = make(map[int]bool)
-		} else {
-			clear(e.active[a])
-		}
 		if e.factEdges[a] == nil {
 			e.factEdges[a] = make(map[[2]int]bool)
 		} else {
 			clear(e.factEdges[a])
-		}
-		if e.condVals[a] == nil {
-			e.condVals[a] = make(map[int]bool)
-		} else {
-			clear(e.condVals[a])
 		}
 	}
 }
@@ -391,8 +385,21 @@ func (e *Encoding) InstanceClauseIndex() []int { return e.instIdx }
 // ValueIndex resolves a value to its domain index for attribute a; ok is
 // false if the value is not in the domain.
 func (e *Encoding) ValueIndex(a relation.Attr, v relation.Value) (int, bool) {
-	i, ok := e.domIdx[a][canonKey(v)]
-	return i, ok
+	return e.indexOf(a, canonKey(v))
+}
+
+// indexOf resolves a canonical key: data values through domIdx, CFD
+// constants through the compiled constant table.
+func (e *Encoding) indexOf(a relation.Attr, k valKey) (int, bool) {
+	if i, ok := e.domIdx[a][k]; ok {
+		return i, true
+	}
+	if int(a) < len(e.rules.constSlot) {
+		if s, ok := e.rules.constSlot[a][k]; ok {
+			return e.slotDom[a][s], true
+		}
+	}
+	return 0, false
 }
 
 // NumVars returns the number of allocated order variables.
@@ -457,6 +464,15 @@ func (e *Encoding) litRaw(attr relation.Attr, a1, a2 int) sat.Lit {
 // addDomValue registers v in attribute a's domain and returns its index.
 func (e *Encoding) addDomValue(a relation.Attr, v relation.Value) int {
 	k := canonKey(v)
+	if i, ok := e.indexOf(a, k); ok {
+		return i
+	}
+	return e.intern(a, k, v)
+}
+
+// intern registers a data value, looking only at the values interned so far
+// (not at the CFD constants).
+func (e *Encoding) intern(a relation.Attr, k valKey, v relation.Value) int {
 	if i, ok := e.domIdx[a][k]; ok {
 		return i
 	}
@@ -466,6 +482,8 @@ func (e *Encoding) addDomValue(a relation.Attr, v relation.Value) int {
 	return i
 }
 
+// buildDomains interns the data values (the active-domain prefix), then
+// appends the CFD constants not among them in the compiled table's order.
 func (e *Encoding) buildDomains() {
 	n := e.Schema.Len()
 	in := e.Spec.TI.Inst
@@ -480,21 +498,36 @@ func (e *Encoding) buildDomains() {
 		tu := in.Tuple(relation.TupleID(t))
 		start := len(e.tixData)
 		for a := 0; a < n; a++ {
-			e.tixData = append(e.tixData, int32(e.addDomValue(relation.Attr(a), tu[a])))
+			v := tu[a]
+			e.tixData = append(e.tixData, int32(e.intern(relation.Attr(a), canonKey(v), v)))
 		}
 		e.tix = append(e.tix, e.tixData[start:len(e.tixData):len(e.tixData)])
 	}
+	r := e.rules
 	for a := 0; a < n; a++ {
 		e.adomSz[a] = len(e.doms[a])
-	}
-	// CFD constants extend the domains past the active-domain prefix.
-	for _, cfd := range e.Spec.Gamma {
-		for i, a := range cfd.X {
-			e.addDomValue(a, cfd.PX[i])
+		var consts []relation.Value
+		if a < len(r.consts) {
+			consts = r.consts[a]
 		}
-		e.addDomValue(cfd.B, cfd.VB)
-	}
-	for a := 0; a < n; a++ {
+		slots := e.slotDom[a][:0]
+		for range consts {
+			slots = append(slots, -1)
+		}
+		if len(consts) > 0 {
+			for i := 0; i < e.adomSz[a]; i++ {
+				if s, ok := r.constSlot[a][canonKey(e.doms[a][i])]; ok {
+					slots[s] = i
+				}
+			}
+			for s, v := range consts {
+				if slots[s] < 0 {
+					slots[s] = len(e.doms[a])
+					e.doms[a] = append(e.doms[a], v)
+				}
+			}
+		}
+		e.slotDom[a] = slots
 		idx := e.adomIdx[a][:0]
 		for i := 0; i < e.adomSz[a]; i++ {
 			idx = append(idx, i)
@@ -579,7 +612,9 @@ func (e *Encoding) allocBody(body []OrderLit) []OrderLit {
 
 // addInstance records the instance in Ω and emits its clause, deduplicating
 // per source kind. Order facts (empty body) dedup on the head atom alone;
-// Σ and Γ instances dedup on a binary body+head key built in scratch.
+// Σ and Γ instances dedup on a binary body+head key built in scratch,
+// except Γ instances of a rule set whose CFDs provably never collide
+// (Rules.gammaUnique): one CFD never repeats a head within a build.
 func (e *Encoding) addInstance(body []OrderLit, head OrderLit, src Source) {
 	switch src.Kind {
 	case SrcOrder:
@@ -587,20 +622,13 @@ func (e *Encoding) addInstance(body []OrderLit, head OrderLit, src Source) {
 			return
 		}
 		e.seenOrder[head] = true
-	default:
-		seen := e.seenSigma
-		if src.Kind == SrcCFD {
-			seen = e.seenGamma
+	case SrcCurrency:
+		if e.seen(e.seenSigma, body, head) {
+			return
 		}
-		k := e.instKey(body, head)
-		if p, ok := seen[string(k)]; ok {
-			if *p == e.seenEpoch {
-				return // duplicate within this build
-			}
-			*p = e.seenEpoch // key known from an earlier build: revive in place
-		} else {
-			ep := e.seenEpoch
-			seen[string(k)] = &ep
+	case SrcCFD:
+		if !e.rules.gammaUnique && e.seen(e.seenGamma, body, head) {
+			return
 		}
 	}
 	e.Omega = append(e.Omega, Instance{Body: e.allocBody(body), Head: head, Src: src})
@@ -614,6 +642,22 @@ func (e *Encoding) addInstance(body []OrderLit, head OrderLit, src Source) {
 	e.cnf.Add(cl...)
 }
 
+// seen reports whether the instance is already in this build's dedup map,
+// recording it if not.
+func (e *Encoding) seen(m map[string]*uint32, body []OrderLit, head OrderLit) bool {
+	k := e.instKey(body, head)
+	if p, ok := m[string(k)]; ok {
+		if *p == e.seenEpoch {
+			return true // duplicate within this build
+		}
+		*p = e.seenEpoch // key known from an earlier build: revive in place
+		return false
+	}
+	ep := e.seenEpoch
+	m[string(k)] = &ep
+	return false
+}
+
 // emitOrderFacts encodes the currency orders of It (Section V-A (1)(a)):
 // explicit edges plus the implicit null-lowest edges.
 func (e *Encoding) emitOrderFacts() {
@@ -621,7 +665,7 @@ func (e *Encoding) emitOrderFacts() {
 	// Null ranks lowest: null ≺v a for every non-null active-domain value.
 	for a := 0; a < e.Schema.Len(); a++ {
 		attr := relation.Attr(a)
-		ni, ok := e.domIdx[a][valKey{}]
+		ni, ok := e.ValueIndex(attr, relation.Null)
 		if !ok || !e.InADom(attr, ni) {
 			continue // no null among the data values
 		}
@@ -676,16 +720,68 @@ func refAttrsOf(c constraint.Currency) []relation.Attr {
 	return out
 }
 
-// emitCurrencyInstances instantiates each currency constraint over all tuple
-// pairs (Section V-A (2)), grouping tuples by their projection onto the
-// referenced attributes: two tuples with equal projections induce identical
-// instance constraints, so one representative per projection suffices.
-// Projection keys are built from domain indices (no value hashing), and the
-// group index is reused across constraints and builds.
+// selectSigma returns, in ascending order, the constraints of Σ whose
+// guards (Rules.compileGuards) all match some active-domain value, plus the
+// unguarded ones. Every other constraint has a conjunct tᵢ[A] = c that no
+// tuple satisfies, so it yields no instance. A NaN data value equals every
+// number under relation.Compare, so it counts as a hit for every guard on
+// its attribute.
+func (e *Encoding) selectSigma() []int32 {
+	r := e.rules
+	hit := resetFlags(e.guardHit, len(r.guardCons))
+	cnt := e.guardCnt[:0]
+	for range r.needHits {
+		cnt = append(cnt, 0)
+	}
+	e.guardHit, e.guardCnt = hit, cnt
+	mark := func(g int32) {
+		if !hit[g] {
+			hit[g] = true
+			for _, ci := range r.guardCons[g] {
+				cnt[ci]++
+			}
+		}
+	}
+	for _, g := range r.nanGuards {
+		mark(g)
+	}
+	for a, index := range r.guardOf {
+		for _, v := range e.doms[a][:e.adomSz[a]] {
+			k := canonKey(v)
+			if k.kind == kindNaN { // matches every guard; marking order is irrelevant
+				for _, g := range index {
+					mark(g)
+				}
+			} else if g, ok := index[k]; ok {
+				mark(g)
+			}
+		}
+	}
+	live := e.liveBuf[:0]
+	for ci, need := range r.needHits {
+		if cnt[ci] == need {
+			live = append(live, int32(ci))
+		}
+	}
+	e.liveBuf = live
+	return live
+}
+
+// emitCurrencyInstances instantiates each currency constraint the entity's
+// data can fire (selectSigma) over all tuple pairs (Section V-A (2)),
+// grouping tuples by their projection onto the referenced attributes: two
+// tuples with equal projections induce identical instance constraints, so
+// one representative per projection suffices. Projection keys are built
+// from domain indices (no value hashing), and the group index is reused
+// across constraints and builds.
 func (e *Encoding) emitCurrencyInstances() {
 	nT := e.Spec.TI.Inst.Len()
-	for ci, c := range e.Spec.Sigma {
-		attrs := e.refAttrs[ci]
+	live := e.selectSigma()
+	e.sigmaVisited = len(live)
+	for _, ci32 := range live {
+		ci := int(ci32)
+		c := e.Spec.Sigma[ci]
+		attrs := e.rules.refAttrs[ci]
 		if e.projIdx == nil {
 			e.projIdx = make(map[string]int)
 		} else {
@@ -729,8 +825,10 @@ func (e *Encoding) emitCurrencyInstances() {
 // attribute — would fire constraint bodies via null-lowest facts and rank
 // its own validated values below stale data (see DESIGN.md §5).
 //
-// Value equality tests run on domain indices: the domain interning collapses
-// exactly the values relation.Equal identifies.
+// Value equality tests run on domain indices. The interning collapses the
+// values relation.Equal identifies, except NaN: Equal calls NaN equal to
+// every number, but NaN keeps its own domain index, so these tests treat a
+// NaN and a number as different values.
 func (e *Encoding) instantiatePair(ci int, c constraint.Currency, t1, t2 relation.TupleID) {
 	in := e.Spec.TI.Inst
 	s1, s2 := in.Tuple(t1), in.Tuple(t2)
@@ -772,25 +870,34 @@ func (e *Encoding) instantiatePair(ci int, c constraint.Currency, t1, t2 relatio
 
 // emitCFDInstances encodes each constant CFD (Section V-A (3)).
 func (e *Encoding) emitCFDInstances() {
-	for gi, cfd := range e.Spec.Gamma {
-		bi, _ := e.ValueIndex(cfd.B, cfd.VB)
-		omegaX := e.cfdBody(cfd)
-		for _, i := range e.adomIdx[cfd.B] {
-			if i == bi {
-				continue
-			}
-			e.addInstance(omegaX, OrderLit{cfd.B, i, bi}, Source{SrcCFD, gi})
-		}
+	for gi := range e.Spec.Gamma {
+		e.emitCFD(gi, e.adomIdx[e.Spec.Gamma[gi].B])
 	}
 }
 
-// cfdBody builds ωX for a constant CFD: every other active-domain X-value
-// sits below the pattern. The returned slice is scratch, valid until the
-// next cfdBody call.
-func (e *Encoding) cfdBody(cfd constraint.CFD) []OrderLit {
+// emitCFD adds the instances ωX → b ≺v tp[B] of CFD gi for each head value
+// b in heads other than tp[B]. Pattern values resolve through the compiled
+// constant slots.
+func (e *Encoding) emitCFD(gi int, heads []int) {
+	cfd := e.Spec.Gamma[gi]
+	bi := e.slotDom[cfd.B][e.rules.cfdSlots[gi][len(cfd.X)]]
+	omegaX := e.cfdBody(gi)
+	for _, i := range heads {
+		if i == bi {
+			continue
+		}
+		e.addInstance(omegaX, OrderLit{cfd.B, i, bi}, Source{SrcCFD, gi})
+	}
+}
+
+// cfdBody builds ωX for CFD gi: every other active-domain X-value sits below
+// the pattern. The returned slice is scratch, valid until the next cfdBody
+// call.
+func (e *Encoding) cfdBody(gi int) []OrderLit {
 	omegaX := e.cfdBuf[:0]
-	for xi, a := range cfd.X {
-		pi, _ := e.ValueIndex(a, cfd.PX[xi])
+	slots := e.rules.cfdSlots[gi]
+	for xi, a := range e.Spec.Gamma[gi].X {
+		pi := e.slotDom[a][slots[xi]]
 		for _, i := range e.adomIdx[a] {
 			if i == pi {
 				continue
@@ -808,12 +915,16 @@ func (e *Encoding) cfdBody(cfd constraint.CFD) []OrderLit {
 // be inserted anywhere in a completion, so axioms about them change nothing.
 func (e *Encoding) emitAxioms(transCap int) {
 	n := e.Schema.Len()
+	for a := 0; a < n; a++ {
+		e.active[a] = resetFlags(e.active[a], len(e.doms[a]))
+		e.condVals[a] = resetFlags(e.condVals[a], len(e.doms[a]))
+	}
 	mark := func(l OrderLit, unit bool) {
-		e.active[l.Attr][l.A1] = true
-		e.active[l.Attr][l.A2] = true
+		act := e.active[l.Attr]
+		act[l.A1], act[l.A2] = true, true
 		if !unit {
-			e.condVals[l.Attr][l.A1] = true
-			e.condVals[l.Attr][l.A2] = true
+			cond := e.condVals[l.Attr]
+			cond[l.A1], cond[l.A2] = true, true
 		}
 	}
 	for _, inst := range e.Omega {
@@ -829,26 +940,48 @@ func (e *Encoding) emitAxioms(transCap int) {
 
 	for a := 0; a < n; a++ {
 		attr := relation.Attr(a)
-		vals := e.sortedKeysScratch(e.active[a])
+		vals := flagged(e.intBuf[:0], e.active[a])
+		e.intBuf = vals
 		if len(vals) <= transCap {
 			e.emitFullAxioms(attr, vals)
 			continue
 		}
 		e.Sparse = true
-		e.emitSparseAxioms(attr, vals, e.factEdges[a], sortedKeys(e.condVals[a]), transCap)
+		cond := flagged(e.condBuf[:0], e.condVals[a])
+		e.condBuf = cond
+		e.emitSparseAxioms(attr, vals, e.factEdges[a], cond, transCap)
 	}
 }
 
-// sortedKeysScratch is sortedKeys into the encoding's reused int buffer;
-// the result is valid until the next call.
-func (e *Encoding) sortedKeysScratch(m map[int]bool) []int {
-	out := e.intBuf[:0]
-	for k := range m {
-		out = append(out, k)
+// resetFlags returns f resized to n flags, all false, reusing its storage.
+func resetFlags(f []bool, n int) []bool {
+	if cap(f) < n {
+		return make([]bool, n)
 	}
-	sort.Ints(out)
-	e.intBuf = out
-	return out
+	f = f[:n]
+	clear(f)
+	return f
+}
+
+// countFlags returns how many flags are set.
+func countFlags(f []bool) int {
+	n := 0
+	for _, on := range f {
+		if on {
+			n++
+		}
+	}
+	return n
+}
+
+// flagged appends to dst the indices of the set flags, ascending.
+func flagged(dst []int, f []bool) []int {
+	for i, on := range f {
+		if on {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 func sortedKeys(m map[int]bool) []int {
@@ -1069,13 +1202,18 @@ func (e *Encoding) extendTuples(k int) bool {
 		}
 		e.tix = append(e.tix, e.tixData[rowStart:len(e.tixData):len(e.tixData)])
 	}
+	for a := 0; a < n; a++ {
+		for len(e.active[a]) < len(e.doms[a]) {
+			e.active[a] = append(e.active[a], false)
+		}
+	}
 
 	omegaMark := len(e.Omega)
 
 	// Null-lowest facts for attributes whose active domain changed.
 	for a := 0; a < n; a++ {
 		attr := relation.Attr(a)
-		ni, ok := e.domIdx[a][valKey{}]
+		ni, ok := e.ValueIndex(attr, relation.Null)
 		if !ok || !e.InADom(attr, ni) {
 			continue
 		}
@@ -1120,30 +1258,21 @@ func (e *Encoding) extendTuples(k int) bool {
 	// the current active domains; the pre-check guarantees they only grew by
 	// pattern-equal values, so existing instances' bodies are unaffected.
 	for gi, cfd := range e.Spec.Gamma {
-		if len(newJoin[cfd.B]) == 0 {
-			continue
-		}
-		bi, _ := e.ValueIndex(cfd.B, cfd.VB)
-		omegaX := e.cfdBody(cfd)
-		for _, i := range sortedKeys(newJoin[cfd.B]) {
-			if i == bi {
-				continue
-			}
-			e.addInstance(omegaX, OrderLit{cfd.B, i, bi}, Source{SrcCFD, gi})
+		if len(newJoin[cfd.B]) > 0 {
+			e.emitCFD(gi, sortedKeys(newJoin[cfd.B]))
 		}
 	}
 
-	// Values first mentioned by the delta instances need axiom coverage.
-	newActive := make([]map[int]bool, n)
-	for a := range newActive {
-		newActive[a] = make(map[int]bool)
-	}
+	// Values first mentioned by the delta instances need axiom coverage:
+	// flag them active as they are found, remembering which are new.
+	newVals := make([][]int, n)
 	markNew := func(l OrderLit) {
-		if !e.active[l.Attr][l.A1] {
-			newActive[l.Attr][l.A1] = true
-		}
-		if !e.active[l.Attr][l.A2] {
-			newActive[l.Attr][l.A2] = true
+		act := e.active[l.Attr]
+		for _, i := range [2]int{l.A1, l.A2} {
+			if !act[i] {
+				act[i] = true
+				newVals[l.Attr] = append(newVals[l.Attr], i)
+			}
 		}
 	}
 	for _, inst := range e.Omega[omegaMark:] {
@@ -1152,29 +1281,33 @@ func (e *Encoding) extendTuples(k int) bool {
 			markNew(l)
 		}
 	}
-	transCap := e.opts.cap()
+	transCap := e.rules.opts.cap()
 	for a := 0; a < n; a++ {
-		if len(newActive[a]) > 0 && len(e.active[a])+len(newActive[a]) > transCap {
+		if len(newVals[a]) > 0 && countFlags(e.active[a]) > transCap {
 			return false // would cross into the sparse regime: rebuild
 		}
 	}
 	for a := 0; a < n; a++ {
-		if len(newActive[a]) == 0 {
-			continue
-		}
-		e.emitAxiomsDelta(relation.Attr(a), sortedKeys(newActive[a]))
-		for i := range newActive[a] {
-			e.active[a][i] = true
+		if len(newVals[a]) > 0 {
+			e.emitAxiomsDelta(relation.Attr(a), newVals[a])
 		}
 	}
 	return true
 }
 
 // emitAxiomsDelta extends the full asymmetry/transitivity axioms of one
-// attribute to newly active values: every pair and triple involving at least
-// one new value is emitted; axioms among the old values already exist.
+// attribute to newly active values (already flagged active): every pair and
+// triple involving at least one new value is emitted; axioms among the old
+// values already exist.
 func (e *Encoding) emitAxiomsDelta(attr relation.Attr, newVals []int) {
-	e.emitAxiomsOver(attr, sortedKeys(e.active[attr]), newVals)
+	old := e.intBuf[:0]
+	for i, on := range e.active[attr] {
+		if on && !slices.Contains(newVals, i) {
+			old = append(old, i)
+		}
+	}
+	e.intBuf = old
+	e.emitAxiomsOver(attr, old, newVals)
 }
 
 // emitAxiomsOver emits asymmetry for every unordered pair and transitivity

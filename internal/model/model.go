@@ -88,23 +88,53 @@ func (s *Spec) Schema() *relation.Schema { return s.TI.Inst.Schema() }
 
 // Validate checks structural well-formedness of all parts.
 func (s *Spec) Validate() error {
+	if err := s.validateHead(); err != nil {
+		return err
+	}
+	if err := ValidateRules(s.Schema(), s.Sigma, s.Gamma); err != nil {
+		return err
+	}
+	return s.validateEdges()
+}
+
+// ValidateInstance is Validate without the constraint checks, for a spec
+// whose Σ and Γ are already known to be well formed against a schema of the
+// same width (a compiled rule set's). It reports the same errors Validate
+// reports for such a spec.
+func (s *Spec) ValidateInstance() error {
+	if err := s.validateHead(); err != nil {
+		return err
+	}
+	return s.validateEdges()
+}
+
+// ValidateRules checks every constraint of Σ and Γ against a schema, with
+// the errors Validate reports for them.
+func ValidateRules(sch *relation.Schema, sigma []constraint.Currency, gamma []constraint.CFD) error {
+	for i, c := range sigma {
+		if err := c.Validate(sch); err != nil {
+			return fmt.Errorf("model: currency constraint %d: %w", i, err)
+		}
+	}
+	for i, c := range gamma {
+		if err := c.Validate(sch); err != nil {
+			return fmt.Errorf("model: CFD %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func (s *Spec) validateHead() error {
 	if s.TI == nil || s.TI.Inst == nil {
 		return fmt.Errorf("model: spec has no temporal instance")
 	}
 	if s.TI.Inst.Len() == 0 {
 		return fmt.Errorf("model: entity instance is empty")
 	}
-	sch := s.Schema()
-	for i, c := range s.Sigma {
-		if err := c.Validate(sch); err != nil {
-			return fmt.Errorf("model: currency constraint %d: %w", i, err)
-		}
-	}
-	for i, c := range s.Gamma {
-		if err := c.Validate(sch); err != nil {
-			return fmt.Errorf("model: CFD %d: %w", i, err)
-		}
-	}
+	return nil
+}
+
+func (s *Spec) validateEdges() error {
 	n := relation.TupleID(s.TI.Inst.Len())
 	for _, e := range s.TI.Edges {
 		if e.T1 < 0 || e.T2 < 0 || e.T1 >= n || e.T2 >= n {

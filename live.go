@@ -136,7 +136,7 @@ func (rs *RuleSet) NewLiveSessionMode(rows []Tuple, sources []string, orders []L
 	m := model.NewSpec(model.NewTemporal(in), rs.sigma, rs.gamma)
 	m.Trust = rs.trust
 	m.TI.Edges = edges
-	if err := m.Validate(); err != nil {
+	if err := rs.encodeRules().ValidateSpec(m); err != nil {
 		return nil, err
 	}
 	return openLive(rs, m, mode, copyDelta(rows, sources, orders))
