@@ -64,7 +64,7 @@ func run() int {
 		outPath     = fs.String("out", "", "output file (default stdout)")
 		format      = fs.String("format", "csv", "input format: csv | ndjson")
 		outFormat   = fs.String("output-format", "", "output format: csv | ndjson (default: same as input)")
-		shards      = fs.Int("shards", 0, "resolution worker shards (0 = GOMAXPROCS)")
+		shards      = fs.Int("shards", 0, "resolution workers sharing one queue; a key's chunks resolve in order (0 = GOMAXPROCS)")
 		window      = fs.Int("window", 0, "max rows buffered while grouping (0 = default 65536)")
 		sorted      = fs.Bool("sorted", false, "input is clustered by key: flush each entity eagerly")
 		maxRounds   = fs.Int("max-rounds", 8, "maximum resolution rounds per entity")

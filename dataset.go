@@ -27,8 +27,10 @@ type DatasetOptions struct {
 	InputFormat string
 	// OutputFormat is "csv" or "ndjson"; empty mirrors the input format.
 	OutputFormat string
-	// Shards is the resolution worker-pool width (0 = GOMAXPROCS).
-	// Entities are sharded by key hash.
+	// Shards is the resolution worker-pool width (0 = GOMAXPROCS). Every
+	// worker drains one shared queue; an entity whose key is still being
+	// resolved waits behind it, so a key's chunks resolve one at a time and
+	// in input order.
 	Shards int
 	// WindowRows bounds the rows buffered while grouping (default 65536):
 	// when reached, pending groups are dispatched, except the one that
@@ -39,7 +41,8 @@ type DatasetOptions struct {
 	WindowRows int
 	// Sorted declares the input clustered by entity key, letting the
 	// grouper flush each entity at its last row; memory then stays at one
-	// in-flight entity per shard regardless of WindowRows.
+	// buffered entity plus the bounded in-flight ones (a small constant
+	// per worker) regardless of WindowRows.
 	Sorted bool
 	// MaxRounds bounds resolution rounds per entity (see Options).
 	MaxRounds int
@@ -75,7 +78,7 @@ func (o DatasetOptions) formats() (in, out string, err error) {
 
 // ResolveDataset resolves a whole relation in one streaming pass: rows are
 // read from in, grouped by the configured key columns, resolved against the
-// compiled rule set over a sharded worker pool, and written to out as one
+// compiled rule set over a shared worker pool, and written to out as one
 // line per entity (key, validity, grouped row count, resolved tuple).
 // Results appear in completion order, so output order is nondeterministic
 // across keys; correlate by key. Memory use is bounded by WindowRows plus
@@ -130,7 +133,7 @@ func ResolveDataset(ctx context.Context, rules *RuleSet, in io.Reader, out io.Wr
 
 // datasetResolver adapts a compiled rule set to the dataset engine's
 // resolver contract: bind the grouped instance without re-parsing, resolve
-// non-interactively through the rule set's pipeline pool — each shard
+// non-interactively through the rule set's pipeline pool — each worker
 // effectively keeps one skeleton + solver warm across its entities. (The
 // HTTP server builds its own resolver so it can consult its result cache
 // around the same binding path.)

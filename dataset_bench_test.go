@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkResolveDataset measures end-to-end dataset throughput — CSV
-// parse, group-by-key, sharded resolution, CSV write — at several shard
-// counts and in two series: pooled (per-shard pipelines reuse the encoding
+// parse, group-by-key, pooled resolution, CSV write — at several pool
+// widths and in two series: pooled (per-worker pipelines reuse the encoding
 // skeleton and arena solver) and unpooled (per-entity construction, the
 // pre-pipeline baseline). shards=1 is the sequential baseline. Entities are
 // 3-tuple Edith instances sharing one compiled rule set, so the numbers

@@ -1,6 +1,6 @@
 // Package dataset resolves whole relations: streams of rows that are
 // grouped into entity instances by a key, resolved in parallel over a
-// sharded worker pool, and written back out as one resolved tuple per
+// shared worker pool, and written back out as one resolved tuple per
 // entity. It is the dataset-scale entry point on top of the per-entity
 // resolution core — the paper resolves one entity instance at a time; a
 // production pipeline resolves files of millions of rows.
@@ -9,20 +9,26 @@
 // Resolver is injected by the caller. The public facade wires in compiled
 // rule sets (conflictres.RuleSet), the HTTP server wires in its cache-aware
 // resolution path, and tests wire in stubs. The engine owns the streaming
-// concerns: bounded group-by windows, shard fan-out, back-pressure, result
+// concerns: bounded group-by windows, scheduling, back-pressure, result
 // serialization and running statistics.
+//
+// Scheduling: dispatched groups enter one work queue drained by every
+// worker, so a slow entity holds back only its own worker. A group whose key
+// is still queued or resolving is chained behind it instead (per-key FIFO):
+// one key never resolves concurrently with itself, and its chunks resolve in
+// input order.
 //
 // Memory is bounded regardless of input size: at most Options.WindowRows
 // rows are buffered in the grouper (plus the still-hot group carried across
-// a flush, itself bounded by Options.MaxEntityRows), plus a constant number
-// of in-flight groups per shard. Input that is clustered by key (each
-// entity's rows contiguous, as produced by crgen) can set Options.Sorted to
-// flush every entity as soon as its last row has passed, keeping residency
-// at a single entity per shard. Unclustered input is still resolved
-// correctly as long as each entity's rows fall inside one window: a window
-// flush dispatches every pending group except the one that received the
-// most recent row, so a contiguous run of one key is never split by the
-// flush. Only a key whose rows are interleaved with enough other rows to
+// a flush, itself bounded by Options.MaxEntityRows), plus at most
+// InFlightPerWorker × Options.Shards dispatched groups not yet resolved.
+// Input that is clustered by key (each entity's rows contiguous, as produced
+// by crgen) can set Options.Sorted to flush every entity as soon as its last
+// row has passed, keeping the grouper's residency at a single entity.
+// Unclustered input is still resolved correctly as long as each entity's
+// rows fall inside one window: a window flush dispatches every pending group
+// except the one that received the most recent row, so a contiguous run of
+// one key is never split by the flush. Only a key whose rows are interleaved with enough other rows to
 // span a flush resolves once per chunk (each chunk reported with its own
 // row count); such keys are counted in Stats.SplitEntities and appear as
 // duplicate keys in the output.
@@ -32,9 +38,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -93,8 +99,8 @@ type Outcome struct {
 }
 
 // Resolver resolves one grouped entity instance. Implementations are called
-// concurrently from every shard and must be safe for concurrent use; one
-// key is always resolved on the same shard, so per-key order is preserved.
+// concurrently from every worker and must be safe for concurrent use; calls
+// for one key never overlap and follow the key's input order.
 type Resolver func(key string, in *relation.Instance) Outcome
 
 // Result pairs an entity's outcome with its identity in the stream.
@@ -107,8 +113,9 @@ type Result struct {
 }
 
 // Writer receives results in completion order (an arbitrary interleaving
-// across shards; use Key to correlate). The engine calls it from a single
-// goroutine and calls Flush exactly once, after the last Write.
+// across keys, input order within one key; use Key to correlate). The
+// engine calls it from a single goroutine and calls Flush exactly once,
+// after the last Write.
 type Writer interface {
 	Write(*Result) error
 	Flush() error
@@ -117,8 +124,9 @@ type Writer interface {
 // Options tunes Run. The zero value is ready to use.
 type Options struct {
 	// Shards is the worker-pool width; 0 or negative means GOMAXPROCS.
-	// Entities are assigned to shards by key hash, so a key's chunks
-	// resolve in input order.
+	// Every worker drains one shared queue; a key's chunks queue behind
+	// each other, so they never overlap and resolve in input order. At most
+	// InFlightPerWorker × Shards dispatched groups wait unresolved.
 	Shards int
 	// WindowRows bounds the rows buffered by the grouper before pending
 	// groups are dispatched (default 65536). The group that received the
@@ -196,7 +204,7 @@ type Stats struct {
 	// output file.
 	Dropped int64
 	// Timing sums solver phase time across all entities (exceeds Wall by
-	// up to the shard count).
+	// up to the worker count).
 	Timing core.Timing
 	// Wall is the end-to-end elapsed time.
 	Wall time.Duration
@@ -250,8 +258,8 @@ func (g *group) addRow(t relation.Tuple, source string) {
 const maxSplitTrackedKeys = 1 << 18
 
 // Run streams rows from r, groups them by key, resolves every group with
-// res across a sharded pool, and writes results to w. It returns the run's
-// statistics along with the first fatal error (reader failure, writer
+// res across a shared worker pool, and writes results to w. It returns the
+// run's statistics along with the first fatal error (reader failure, writer
 // failure, or context cancellation); per-entity resolution errors are not
 // fatal — they are written as results with Err set and counted in
 // Stats.Failed. On a fatal error the run stops promptly and drops the
@@ -262,41 +270,37 @@ const maxSplitTrackedKeys = 1 << 18
 func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w Writer, opts Options) (*Stats, error) {
 	start := time.Now()
 	stats := &Stats{}
-	shards := opts.shards()
+	workers := opts.shards()
 	maxRows := opts.maxEntityRows()
+	sched := newScheduler(workers)
+	// Room for every in-flight group's result, so workers rarely wait on a
+	// writer that is busy with one slow Write.
+	results := make(chan *Result, InFlightPerWorker*workers)
 
-	// Shard channels are shallow: back-pressure from slow shards must reach
-	// the reader quickly or window flushes would queue unbounded rows.
-	shardCh := make([]chan *group, shards)
-	for i := range shardCh {
-		shardCh[i] = make(chan *group, 4)
-	}
-	results := make(chan *Result, 4*shards)
-
-	// Shard workers: each drains its own channel so one key never resolves
-	// concurrently with itself.
-	workersDone := make(chan struct{})
-	go func() {
-		defer close(workersDone)
-		done := make(chan struct{})
-		for _, ch := range shardCh {
-			go func(ch chan *group) {
-				defer func() { done <- struct{}{} }()
-				for g := range ch {
+	// Workers drain the shared queue. A worker that finishes a group goes
+	// on with the next chunk chained behind its key, if any, before taking
+	// new work, so the key's chunks resolve one at a time and in order.
+	var workersWG sync.WaitGroup
+	for range workers {
+		workersWG.Add(1)
+		go func() {
+			defer workersWG.Done()
+			for g := range sched.queue {
+				for ; g != nil; g = sched.next(g) {
 					results <- resolveGroup(sch, res, g, maxRows)
 				}
-			}(ch)
-		}
-		for range shardCh {
-			<-done
-		}
+			}
+		}()
+	}
+	go func() {
+		workersWG.Wait()
 		close(results)
 	}()
 
 	// Writer: the only goroutine touching w; aggregates outcome counters.
 	// A write failure flips writeFailed so the reader stops feeding work
 	// instead of resolving the rest of the input for discarded output.
-	// Results completing after the failure are drained (so shards never
+	// Results completing after the failure are drained (so workers never
 	// block forever) but counted in Dropped, not in the outcome counters:
 	// Resolved/Invalid/Failed describe what the output file actually holds.
 	var writeErr error
@@ -335,12 +339,6 @@ func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w
 		}
 	}()
 
-	dispatch := func(g *group) {
-		h := fnv.New32a()
-		h.Write([]byte(g.key))
-		shardCh[h.Sum32()%uint32(shards)] <- g
-	}
-
 	// Reader loop with windowed group-by.
 	groups := make(map[string]*group)
 	var order []*group // first-seen order, so flushes are deterministic
@@ -374,7 +372,7 @@ func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w
 			// Input that is not actually clustered stays correct — the key
 			// just resolves once per contiguous run of its rows.
 			if g, ok := groups[lastKey]; ok {
-				dispatch(g)
+				sched.dispatch(g)
 				delete(groups, lastKey)
 				buffered -= len(g.rows)
 				for i, og := range order {
@@ -416,7 +414,7 @@ func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w
 				if keepHot && og == g {
 					continue
 				}
-				dispatch(og)
+				sched.dispatch(og)
 				if _, seen := windowSplit[og.key]; !seen && len(windowSplit) < maxSplitTrackedKeys {
 					windowSplit[og.key] = false
 				}
@@ -442,13 +440,12 @@ func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w
 	// looking result computed from part of its rows.
 	if ctx.Err() == nil && readErr == nil && !writeFailed.Load() {
 		for _, g := range order {
-			dispatch(g)
+			sched.dispatch(g)
 		}
 	}
-	for _, ch := range shardCh {
-		close(ch)
-	}
-	<-workersDone
+	// Every chained group sits behind a group still queued or resolving, so
+	// closing the queue strands none of them.
+	close(sched.queue)
 	<-writerDone
 
 	err := readErr
@@ -460,6 +457,68 @@ func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w
 	}
 	stats.Wall = time.Since(start)
 	return stats, err
+}
+
+// InFlightPerWorker bounds the groups dispatched but not yet resolved, per
+// worker: Run holds at most InFlightPerWorker × Options.Shards of them,
+// counting queued, chained and resolving groups. The reader blocks at the
+// bound, so back-pressure from slow resolvers reaches it before window
+// flushes can queue unbounded rows.
+const InFlightPerWorker = 4
+
+// scheduler feeds groups to the worker pool: one shared queue, with each
+// group whose key is already queued or resolving chained behind it.
+type scheduler struct {
+	// slots holds one token per dispatched, unresolved group.
+	slots chan struct{}
+	// queue carries ready groups. Its capacity matches slots, so a send
+	// made while holding a token never blocks.
+	queue chan *group
+	mu    sync.Mutex
+	// chain maps every key queued or resolving to the chunks of that key
+	// waiting behind it, in input order.
+	chain map[string][]*group
+}
+
+func newScheduler(workers int) *scheduler {
+	n := InFlightPerWorker * workers
+	return &scheduler{
+		slots: make(chan struct{}, n),
+		queue: make(chan *group, n),
+		chain: make(map[string][]*group),
+	}
+}
+
+// dispatch hands g to the pool, blocking while the in-flight bound is
+// reached. It is called from the reader goroutine only.
+func (s *scheduler) dispatch(g *group) {
+	s.slots <- struct{}{}
+	s.mu.Lock()
+	if waiting, busy := s.chain[g.key]; busy {
+		s.chain[g.key] = append(waiting, g)
+		s.mu.Unlock()
+		return
+	}
+	s.chain[g.key] = nil
+	s.mu.Unlock()
+	s.queue <- g
+}
+
+// next retires the resolved group g and returns the next chunk of its key,
+// or nil when none is waiting (the key is then free to be queued afresh).
+func (s *scheduler) next(g *group) *group {
+	<-s.slots
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	waiting := s.chain[g.key]
+	if len(waiting) == 0 {
+		delete(s.chain, g.key)
+		return nil
+	}
+	nx := waiting[0]
+	waiting[0] = nil
+	s.chain[g.key] = waiting[1:]
+	return nx
 }
 
 // resolveGroup materializes one group as an entity instance and resolves it.

@@ -88,6 +88,16 @@ func TestParseValueRoundTrip(t *testing.T) {
 	}
 }
 
+func TestAppendQuoteMatchesQuote(t *testing.T) {
+	vals := []Value{Null, String(""), String("hello world"), String("with \"quotes\"\n"),
+		Int(0), Int(-7), Float(3.25), Float(1e21), Float(-0.5), {kind: Kind(9)}}
+	for _, v := range vals {
+		if got := string(v.AppendQuote([]byte("x"))); got != "x"+v.Quote() {
+			t.Errorf("AppendQuote(%v) = %q, want %q", v, got, "x"+v.Quote())
+		}
+	}
+}
+
 func TestParseValueBareWord(t *testing.T) {
 	v, err := ParseValue("NY")
 	if err != nil || v.Kind() != KindString || v.Str() != "NY" {

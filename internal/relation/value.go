@@ -110,6 +110,23 @@ func (v Value) Quote() string {
 	return v.String()
 }
 
+// AppendQuote appends the Quote form of v to dst and returns the extended
+// slice, without allocating a string.
+func (v Value) AppendQuote(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return append(dst, "null"...)
+	case KindString:
+		return strconv.AppendQuote(dst, v.s)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	default:
+		return append(dst, '?')
+	}
+}
+
 // Compare orders two values. Null sorts below every non-null value (the
 // paper's "null < k for any number k" convention, Example 2). Numeric kinds
 // compare numerically across int/float; otherwise values compare first by

@@ -8,12 +8,13 @@ import (
 	"sync"
 
 	"conflictres"
+	"conflictres/internal/relation"
 )
 
-// cacheKey identifies one resolution problem: a canonical hash of
-// (schema, Σ, Γ, instance, orders). Identical replicated entities — the
-// common case when the same record arrives from many sources — hit the same
-// key and skip all SAT work.
+// cacheKey identifies one resolution problem: a canonical hash of (schema,
+// Σ, Γ, trust, instance, sources, mode, orders). Identical replicated
+// entities — the common case when the same record arrives from many
+// sources — hit the same key and skip all SAT work.
 type cacheKey [sha256.Size]byte
 
 // hashField writes one length-prefixed field so concatenations cannot
@@ -25,55 +26,69 @@ func hashField(h hash.Hash, s string) {
 	h.Write([]byte(s))
 }
 
-// specKey hashes a rule set plus one wire entity into a cache key. The
-// entity's raw JSON cells are decoded before binding, so hashing uses the
-// canonical Quote form of each decoded value (not the raw bytes, which could
-// differ in float spelling for equal values only after decoding — rather than
-// risk that, we hash the bound spec's own tuples).
-func specKey(rules *conflictres.RuleSet, spec *conflictres.Spec, orders []orderJSON, mode conflictres.ResolutionMode) cacheKey {
-	h := sha256.New()
-	for _, n := range rules.Schema().Names() {
-		hashField(h, n)
-	}
-	hashField(h, "#sigma")
-	for _, s := range rules.CurrencyTexts() {
-		hashField(h, s)
-	}
-	hashField(h, "#gamma")
-	for _, s := range rules.CFDTexts() {
-		hashField(h, s)
-	}
-	hashField(h, "#trust")
-	for _, s := range rules.TrustTexts() {
-		hashField(h, s)
-	}
-	hashField(h, "#data")
+// keyBufs recycles specKey's preimage buffers, so hashing an entity does not
+// allocate per field.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1<<10); return &b }}
+
+// maxKeyBuf caps the buffers returned to keyBufs: one outsized entity must
+// not pin its preimage buffer for the life of the process.
+const maxKeyBuf = 64 << 10
+
+// appendField appends one length-prefixed field (the preimage form of
+// hashField).
+func appendField(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// appendValue appends the canonical Quote form of v as one length-prefixed
+// field, writing the prefix once the quoted length is known.
+func appendValue(b []byte, v relation.Value) []byte {
+	at := len(b)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = v.AppendQuote(b)
+	binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	return b
+}
+
+// specKey hashes one bound entity under a compiled rule set into a cache
+// key. rk is the rule set's rulesKey, computed once per request when the
+// rules compile, so an entity's key costs the entity's size, not the rule
+// set's. The entity's raw JSON cells are decoded before binding, so hashing
+// uses the canonical Quote form of each decoded value (not the raw bytes,
+// which could differ in float spelling for equal values). Entities share a
+// key exactly when they share rules, cells, sources, mode and orders.
+func specKey(rk cacheKey, spec *conflictres.Spec, orders []orderJSON, mode conflictres.ResolutionMode) cacheKey {
+	bp := keyBufs.Get().(*[]byte)
+	b := append((*bp)[:0], rk[:]...)
+	b = appendField(b, "#data")
 	in := spec.Instance()
-	for _, id := range in.TupleIDs() {
-		for _, v := range in.Tuple(id) {
-			hashField(h, v.Quote())
+	for id := range in.Len() {
+		for _, v := range in.Tuple(relation.TupleID(id)) {
+			b = appendValue(b, v)
 		}
-		hashField(h, "#row")
+		b = appendField(b, "#row")
 	}
 	// Source tags and the strategy both steer the picked values, so they are
 	// part of the problem identity (untagged instances hash empty sources and
 	// the default mode name — stable across requests).
-	hashField(h, "#sources")
-	for _, id := range in.TupleIDs() {
-		hashField(h, in.Source(id))
+	b = appendField(b, "#sources")
+	for id := range in.Len() {
+		b = appendField(b, in.Source(relation.TupleID(id)))
 	}
-	hashField(h, "#mode")
-	hashField(h, mode.Strategy.String())
-	hashField(h, "#orders")
+	b = appendField(b, "#mode")
+	b = appendField(b, mode.Strategy.String())
+	b = appendField(b, "#orders")
 	for _, o := range orders {
-		hashField(h, o.Attr)
-		var n [16]byte
-		binary.LittleEndian.PutUint64(n[:8], uint64(o.T1))
-		binary.LittleEndian.PutUint64(n[8:], uint64(o.T2))
-		h.Write(n[:])
+		b = appendField(b, o.Attr)
+		b = binary.LittleEndian.AppendUint64(b, uint64(o.T1))
+		b = binary.LittleEndian.AppendUint64(b, uint64(o.T2))
 	}
-	var k cacheKey
-	h.Sum(k[:0])
+	k := cacheKey(sha256.Sum256(b))
+	if cap(b) <= maxKeyBuf {
+		*bp = b
+		keyBufs.Put(bp)
+	}
 	return k
 }
 
@@ -90,9 +105,10 @@ func liveEntityKey(key string) cacheKey {
 	return k
 }
 
-// rulesKey hashes a wire rule set (schema names plus constraint texts); it
-// keys the compiled-rule-set cache so repeated requests with identical Σ/Γ
-// skip parsing.
+// rulesKey hashes a wire rule set (schema names plus constraint and trust
+// texts); it keys the compiled-rule-set cache so repeated requests with
+// identical Σ/Γ skip parsing, and it heads every specKey preimage so the
+// rule texts are hashed once per request, not once per entity.
 func rulesKey(rs *ruleSetJSON) cacheKey {
 	h := sha256.New()
 	for _, n := range rs.Schema {

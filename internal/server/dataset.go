@@ -123,14 +123,14 @@ func (c *cachedResult) toOutcome(sch *conflictres.Schema) dataset.Outcome {
 // its slot to the solver actually finishing (like the batch path's
 // release), so cfg.Workers bounds true solver concurrency even when shards
 // move on after timeouts.
-func (s *Server) datasetResolver(ctx context.Context, rules *conflictres.RuleSet, maxRounds int, mode conflictres.ResolutionMode, sem chan struct{}) dataset.Resolver {
+func (s *Server) datasetResolver(ctx context.Context, rules *conflictres.RuleSet, rk cacheKey, maxRounds int, mode conflictres.ResolutionMode, sem chan struct{}) dataset.Resolver {
 	return func(key string, in *relation.Instance) dataset.Outcome {
 		spec, err := conflictres.NewSpecFromRules(in, rules)
 		if err != nil {
 			return dataset.Outcome{Err: &codedErr{codeBadEntity, err}}
 		}
 		s.met.observeMode(mode.Strategy)
-		ckey := specKey(rules, spec, nil, mode)
+		ckey := specKey(rk, spec, nil, mode)
 		if v, ok := s.results.get(ckey); ok {
 			return v.(*cachedResult).toOutcome(rules.Schema())
 		}
@@ -246,7 +246,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, `header needs "key": [column, ...]`)
 		return
 	}
-	rules, err := s.compileRules(&hdr.ruleSetJSON)
+	rules, rk, err := s.compileRules(&hdr.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -281,7 +281,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 
 	sem := make(chan struct{}, s.cfg.Workers)
 	stats, runErr := dataset.Run(r.Context(), sch, reader,
-		s.datasetResolver(r.Context(), rules, hdr.MaxRounds, mode, sem), ww,
+		s.datasetResolver(r.Context(), rules, rk, hdr.MaxRounds, mode, sem), ww,
 		dataset.Options{
 			Shards:     s.cfg.Workers,
 			WindowRows: windowRows,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"conflictres"
@@ -77,19 +78,21 @@ func (s *Server) parseMode(w http.ResponseWriter, name string) (conflictres.Reso
 	return conflictres.ResolutionMode{Strategy: strat}, true
 }
 
-// compileRules returns the compiled rule set for a wire rule set, consulting
-// the rule cache so identical (schema, Σ, Γ) parse only once server-wide.
-func (s *Server) compileRules(rs *ruleSetJSON) (*conflictres.RuleSet, error) {
+// compileRules returns the compiled rule set for a wire rule set and its
+// rulesKey, consulting the rule cache so identical (schema, Σ, Γ, trust)
+// parse only once server-wide. The key is computed once per request and
+// heads every specKey of the request's entities.
+func (s *Server) compileRules(rs *ruleSetJSON) (*conflictres.RuleSet, cacheKey, error) {
 	key := rulesKey(rs)
 	if v, ok := s.rules.get(key); ok {
-		return v.(*conflictres.RuleSet), nil
+		return v.(*conflictres.RuleSet), key, nil
 	}
 	rules, err := compileWireRules(rs)
 	if err != nil {
-		return nil, err
+		return nil, key, err
 	}
 	s.rules.put(key, rules)
-	return rules, nil
+	return rules, key, nil
 }
 
 // runTimed executes f under the server's per-entity deadline. The solver is
@@ -125,7 +128,7 @@ func runTimed[T any](ctx context.Context, timeout time.Duration, done func(), f 
 // exactly once when the entity's heavy work is over — immediately for bind
 // errors and cache hits, or when the solver goroutine finishes otherwise
 // (which on timeout is later than this function's return).
-func (s *Server) resolveEntity(ctx context.Context, rules *conflictres.RuleSet, e *entityJSON, maxRounds int, mode conflictres.ResolutionMode, release func()) (*resultJSON, string, error) {
+func (s *Server) resolveEntity(ctx context.Context, rules *conflictres.RuleSet, rk cacheKey, e *entityJSON, maxRounds int, mode conflictres.ResolutionMode, release func()) (*resultJSON, string, error) {
 	if release == nil {
 		release = func() {}
 	}
@@ -136,7 +139,7 @@ func (s *Server) resolveEntity(ctx context.Context, rules *conflictres.RuleSet, 
 		return nil, codeBadEntity, err
 	}
 	s.met.observeMode(mode.Strategy)
-	key := specKey(rules, spec, e.Orders, mode)
+	key := specKey(rk, spec, e.Orders, mode)
 	if v, ok := s.results.get(key); ok {
 		release()
 		return v.(*cachedResult).toResult(), "", nil
@@ -190,7 +193,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, err := s.compileRules(&req.ruleSetJSON)
+	rules, rk, err := s.compileRules(&req.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -199,7 +202,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	out, code, err := s.resolveEntity(r.Context(), rules, &req.Entity, req.MaxRounds, mode, nil)
+	out, code, err := s.resolveEntity(r.Context(), rules, rk, &req.Entity, req.MaxRounds, mode, nil)
 	if err != nil {
 		s.writeError(w, errStatus(code), code, err.Error())
 		return
@@ -220,7 +223,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, err := s.compileRules(&req.ruleSetJSON)
+	rules, _, err := s.compileRules(&req.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -301,7 +304,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
 		return
 	}
-	rules, err := s.compileRules(&hdr.ruleSetJSON)
+	rules, rk, err := s.compileRules(&hdr.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -341,10 +344,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(e entityJSON, i int) {
 			defer wg.Done()
-			// The slot is released by resolveEntity when the solver actually
-			// finishes — on timeout that is later than the error response, so
-			// Workers bounds true solver concurrency, not just wrapper count.
-			out, code, err := s.resolveEntity(r.Context(), rules, &e, hdr.MaxRounds, mode, func() { <-sem })
+			// The slot is held until both the solver has finished and the
+			// result line is written. The solver may outlive the response on
+			// timeout, so Workers bounds true solver concurrency, not just
+			// wrapper count; and a cache hit waiting on a slow reader keeps
+			// its slot, so entities read but not yet written stay bounded
+			// by Workers too.
+			var pending atomic.Int32
+			pending.Store(2)
+			release := func() {
+				if pending.Add(-1) == 0 {
+					<-sem
+				}
+			}
+			defer release()
+			out, code, err := s.resolveEntity(r.Context(), rules, rk, &e, hdr.MaxRounds, mode, release)
 			if err != nil {
 				s.met.entitiesFailed.Add(1)
 				out = &resultJSON{Error: &errorJSON{Code: code, Message: err.Error()}}

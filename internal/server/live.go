@@ -141,7 +141,7 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, err := s.compileRules(&req.ruleSetJSON)
+	rules, rk, err := s.compileRules(&req.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -164,7 +164,6 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 	// The identity hash covers the rules AND the canonical mode name, so a
 	// mode flip on an existing entity surfaces as entity_rules_changed
 	// rather than silently resolving under the creation-time strategy.
-	rk := rulesKey(&req.ruleSetJSON)
 	rulesHash := string(rk[:]) + "\x00" + mode.Strategy.String()
 	// Re-marshal the decoded rule set rather than retaining request bytes:
 	// the snapshot then carries a canonical blob regardless of how the

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -542,4 +543,92 @@ func TestConcurrentTrafficRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// stalledWriter is a ResponseWriter whose body writes block until release
+// is closed: a client that stops reading the response.
+type stalledWriter struct {
+	header  http.Header
+	release chan struct{}
+	mu      sync.Mutex
+	body    bytes.Buffer
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	<-w.release
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(p)
+}
+
+// countingBody counts the request bytes the handler has read.
+type countingBody struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// TestBatchStalledReaderBoundsReadAhead streams one entity repeated (every
+// line after the first is a cache hit) to a client that reads nothing: the
+// handler must stop reading the request once Workers entities wait to be
+// written, instead of reading the whole stream into blocked goroutines.
+func TestBatchStalledReaderBoundsReadAhead(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	hdr, err := json.Marshal(edithRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Long ids make each line ~8 KB, so the scanner's 64 KB read-ahead
+	// holds only a few of them.
+	pad := strings.Repeat("x", 8<<10)
+	var tuples bytes.Buffer
+	if err := json.Compact(&tuples, []byte(edithTuples(0))); err != nil {
+		t.Fatal(err)
+	}
+	var in bytes.Buffer
+	in.Write(append(hdr, '\n'))
+	const lines = 200
+	for i := range lines {
+		fmt.Fprintf(&in, `{"id":"%s-%d","tuples":%s}`+"\n", pad, i, tuples.Bytes())
+	}
+	total := int64(in.Len())
+	body := &countingBody{r: &in}
+	w := &stalledWriter{header: http.Header{}, release: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/resolve/batch", body))
+	}()
+	// Wait until reading stalls (or the whole body is gone).
+	deadline := time.Now().Add(10 * time.Second)
+	for last := int64(-1); ; {
+		time.Sleep(20 * time.Millisecond)
+		n := body.n.Load()
+		if n == last || n == total {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(w.release)
+			<-done
+			t.Fatalf("request reading never stalled: %d of %d bytes", n, total)
+		}
+		last = n
+	}
+	read := body.n.Load()
+	close(w.release)
+	<-done
+	if read > total/2 {
+		t.Fatalf("handler read %d of %d request bytes while no result line could be written", read, total)
+	}
+	if got := strings.Count(w.body.String(), `"valid":true`); got != lines {
+		t.Fatalf("got %d valid result lines, want %d", got, lines)
+	}
 }

@@ -157,28 +157,28 @@ func (s *Server) readSnapshot(r io.Reader, noun string, replay func(*liveSnapsho
 	return restored, skipped, nil
 }
 
-// snapshotBinding compiles a record's rule set and parses its mode.
-func (s *Server) snapshotBinding(rec *liveSnapshotJSON) (*conflictres.RuleSet, ruleSetJSON, conflictres.ResolutionMode, error) {
+// snapshotBinding compiles a record's rule set and parses its mode; it also
+// returns the rule set's rulesKey.
+func (s *Server) snapshotBinding(rec *liveSnapshotJSON) (*conflictres.RuleSet, cacheKey, conflictres.ResolutionMode, error) {
 	var rsj ruleSetJSON
 	if err := json.Unmarshal(rec.Rules, &rsj); err != nil {
-		return nil, rsj, conflictres.ResolutionMode{}, fmt.Errorf("rules: %w", err)
+		return nil, cacheKey{}, conflictres.ResolutionMode{}, fmt.Errorf("rules: %w", err)
 	}
-	rules, err := s.compileRules(&rsj)
+	rules, rk, err := s.compileRules(&rsj)
 	if err != nil {
-		return nil, rsj, conflictres.ResolutionMode{}, err
+		return nil, rk, conflictres.ResolutionMode{}, err
 	}
 	strat, err := conflictres.ParseStrategy(rec.Mode)
-	return rules, rsj, conflictres.ResolutionMode{Strategy: strat}, err
+	return rules, rk, conflictres.ResolutionMode{Strategy: strat}, err
 }
 
 // replayLiveEntity feeds one snapshot record's deltas through the registry
 // in order, exactly as the original upserts arrived.
 func (s *Server) replayLiveEntity(rec *liveSnapshotJSON) error {
-	rules, rsj, mode, err := s.snapshotBinding(rec)
+	rules, rk, mode, err := s.snapshotBinding(rec)
 	if err != nil {
 		return err
 	}
-	rk := rulesKey(&rsj)
 	rulesHash := string(rk[:]) + "\x00" + mode.Strategy.String()
 	for i, d := range rec.Deltas {
 		rows, err := decodeRows(rules, d.Rows)

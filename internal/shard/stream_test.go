@@ -21,6 +21,9 @@ type streamCase struct {
 	line   func(i int) []byte
 	// perResult is how many body lines make one result line.
 	perResult int
+	// held is how many results stay back while the upload pauses: a
+	// sorted dataset keeps its last entity open until the next key.
+	held int
 }
 
 // streamCases covers the three endpoints that resolve while the upload is
@@ -51,9 +54,9 @@ func streamCases(t *testing.T) []streamCase {
 		})
 	}
 	return []streamCase{
-		{"crserve-batch", backend + "/v1/resolve/batch", batchHeader, entity, 1},
-		{"crserve-dataset", backend + "/v1/resolve/dataset", marshalLine(t, dsHeader), row, 2},
-		{"crshard-batch", coord + "/v1/resolve/batch", batchHeader, entity, 1},
+		{"crserve-batch", backend + "/v1/resolve/batch", batchHeader, entity, 1, 0},
+		{"crserve-dataset", backend + "/v1/resolve/dataset", marshalLine(t, dsHeader), row, 2, 1},
+		{"crshard-batch", coord + "/v1/resolve/batch", batchHeader, entity, 1, 0},
 	}
 }
 
@@ -128,9 +131,32 @@ func (u *upload) finish(tc streamCase, from, to int) {
 	}()
 }
 
+// finishPaused is finish over lines [0, n) that waits on resume before
+// every positive multiple of every, so the test can inspect the process
+// while the stream is open but idle.
+func (u *upload) finishPaused(tc streamCase, n, every int, resume <-chan struct{}) {
+	go func() {
+		for i := 0; i < n; i++ {
+			if i > 0 && i%every == 0 {
+				select {
+				case <-resume:
+				case <-u.done:
+					return
+				}
+			}
+			if _, err := u.pw.Write(append(tc.line(i), '\n')); err != nil {
+				return
+			}
+		}
+		u.pw.Close()
+	}()
+}
+
 // drain reads the rest of the response, returning the number of result
 // lines (lines that are not a dataset summary) and failing on error lines.
-func (u *upload) drain(t *testing.T) int {
+// each, when non-nil, is called with the running count after every result
+// line.
+func (u *upload) drain(t *testing.T, each func(n int)) int {
 	t.Helper()
 	n := 0
 	for l := range u.lines {
@@ -146,6 +172,9 @@ func (u *upload) drain(t *testing.T) int {
 		}
 		if res.Summary == nil {
 			n++
+			if each != nil {
+				each(n)
+			}
 		}
 	}
 	select {
@@ -184,45 +213,34 @@ func TestFirstResultBeforeUploadEnds(t *testing.T) {
 				t.Fatal("no result line within 10s while the upload is still open")
 			}
 			u.finish(tc, sent, sent+4*tc.perResult)
-			if got, want := 1+u.drain(t), sent/tc.perResult+4; got != want {
+			if got, want := 1+u.drain(t, nil), sent/tc.perResult+4; got != want {
 				t.Fatalf("got %d results, want %d", got, want)
 			}
 		})
 	}
 }
 
-// peakHeap runs fn and returns the largest heap-object footprint sampled
-// while it ran, garbage included, read through runtime/metrics.
-func peakHeap(fn func()) uint64 {
+// retainedHeap forces a collection and returns the live heap it left:
+// what the process retains at this instant, garbage excluded, so the
+// reading does not depend on GC pacing.
+func retainedHeap() uint64 {
 	runtime.GC()
-	sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	stop, peak := make(chan struct{}), make(chan uint64)
-	go func() {
-		var max uint64
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			rtmetrics.Read(sample)
-			if v := sample[0].Value.Uint64(); v > max {
-				max = v
-			}
-			select {
-			case <-stop:
-				peak <- max
-				return
-			case <-tick.C:
-			}
-		}
-	}()
-	fn()
-	close(stop)
-	return <-peak
+	sample := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	rtmetrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 // TestStreamHeapFlatInN streams a short and a ten-times-longer upload
-// through each endpoint and requires the peak heap to stay flat: results
-// leave as they complete, so memory is bounded by the worker pool and the
-// grouping window, not by the stream length.
+// through each endpoint and requires the retained heap to stay flat:
+// results leave as they complete, so memory is bounded by the worker pool
+// and the grouping window, not by the stream length. The heap is read at
+// fixed checkpoints of each stream — the upload paused after a quarter,
+// half and three quarters of its lines with every result for them drained,
+// and the end of the response — each after a forced collection, so nothing
+// is being allocated while it is read. A stream's reading is the largest of
+// its checkpoints. An unmeasured short stream runs first, so structures
+// built once per process (connections, pooled pipelines, caches) are in
+// place before either measured stream.
 func TestStreamHeapFlatInN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 100k lines")
@@ -233,20 +251,34 @@ func TestStreamHeapFlatInN(t *testing.T) {
 			if tc.perResult == 1 {
 				short = 2000 // batch lines cost a round trip or a solver call each
 			}
-			var peaks [2]uint64
-			for k, n := range []int{short, 10 * short} {
-				peaks[k] = peakHeap(func() {
-					u := startUpload(t, tc.url, tc.header)
-					u.finish(tc, 0, n)
-					if got := u.drain(t); got != n/tc.perResult {
-						t.Fatalf("got %d results for %d lines", got, n)
+			stream := func(n int) uint64 {
+				quarter := n / 4
+				var peak uint64
+				u := startUpload(t, tc.url, tc.header)
+				resume := make(chan struct{})
+				u.finishPaused(tc, n, quarter, resume)
+				paused := 1
+				got := u.drain(t, func(i int) {
+					if paused < 4 && i == paused*quarter/tc.perResult-tc.held {
+						peak = max(peak, retainedHeap())
+						paused++
+						resume <- struct{}{}
 					}
 				})
+				if got != n/tc.perResult {
+					t.Fatalf("got %d results for %d lines", got, n)
+				}
+				return max(peak, retainedHeap())
 			}
-			ratio := float64(peaks[1]) / float64(peaks[0])
-			t.Logf("peak heap %d B at %d lines, %d B at %d lines (%.2fx)", peaks[0], short, peaks[1], 10*short, ratio)
+			stream(short)
+			var heaps [2]uint64
+			for k, n := range []int{short, 10 * short} {
+				heaps[k] = stream(n)
+			}
+			ratio := float64(heaps[1]) / float64(heaps[0])
+			t.Logf("retained heap %d B at %d lines, %d B at %d lines (%.2fx)", heaps[0], short, heaps[1], 10*short, ratio)
 			if ratio > 1.5 {
-				t.Fatalf("peak heap grew %.2fx for a 10x longer stream, want <= 1.5x", ratio)
+				t.Fatalf("retained heap grew %.2fx for a 10x longer stream, want <= 1.5x", ratio)
 			}
 		})
 	}

@@ -103,11 +103,11 @@ func TestPooledResolveMatchesUnpooled(t *testing.T) {
 }
 
 // TestPooledDatasetMatchesUnpooled resolves one CSV dataset through the
-// sharded engine twice — pooled pipelines vs per-entity construction — and
+// dataset engine twice — pooled pipelines vs per-entity construction — and
 // requires the two outputs to be byte-identical per entity (output order is
 // completion order, so lines are sorted before comparison). Run under
 // -race in CI, this also exercises the pipeline pool from four concurrent
-// shards.
+// workers.
 func TestPooledDatasetMatchesUnpooled(t *testing.T) {
 	rs := batchRules(t)
 	const entities = 40
